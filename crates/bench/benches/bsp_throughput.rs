@@ -1,8 +1,8 @@
-//! Wall-clock benches for the batched BSP executor (E16) and the flat
-//! kernel tier (E19): serial vs parallel single-vector execution,
-//! batched throughput as the batch grows, interpreter vs lowered
-//! kernel, compile-from-scratch vs program-cache hit, and the
-//! optimized program against the raw compile.
+//! Wall-clock benches for the batched BSP executors (E16) and the flat
+//! kernel tier (E19): the validating interpreter vs the kernel on single
+//! vectors, batched throughput as the batch grows, the batch dispatcher
+//! with and without a fault plan, compile-from-scratch vs program-cache
+//! hit, and the optimized program against the raw compile.
 //!
 //! Groups share one set of compiled + lowered fixtures (built once in a
 //! `OnceLock`) so criterion timing never includes compilation and every
@@ -12,6 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pns_graph::{factories, Graph};
+use pns_simulator::batch::{self, BatchPools, Ladder};
 use pns_simulator::bsp::{BspMachine, CompiledProgram};
 use pns_simulator::{
     compile, BitScratch, ExecScratch, Hypercube2Sorter, KernelProgram, Machine, ProgramCache,
@@ -31,17 +32,17 @@ fn random_keys(len: u64, seed: u64) -> Vec<u64> {
 struct Fixtures {
     /// Relabeled Petersen graph, squared: the batched-throughput shape.
     petersen: Graph,
-    petersen_program: CompiledProgram,
     petersen_kernel: KernelProgram,
     petersen_vertical: VerticalProgram,
     /// 3-ary 3-cube (`path(3)`, r = 3): the E19 kernel-speedup shape.
     cube3: Graph,
     cube3_program: CompiledProgram,
     cube3_kernel: KernelProgram,
-    /// 10-cube: the single-vector parallel-threshold shape.
+    /// 10-cube: the large single-vector shape.
     k2: Graph,
     k2_program: CompiledProgram,
-    k2_optimized: CompiledProgram,
+    k2_kernel: KernelProgram,
+    k2_optimized: KernelProgram,
 }
 
 fn fixtures() -> &'static Fixtures {
@@ -62,10 +63,15 @@ fn fixtures() -> &'static Fixtures {
             .expect("cube program validates");
         let k2 = factories::k2();
         let k2_program = compile(&k2, 10, &Hypercube2Sorter);
-        let k2_optimized = k2_program.optimized();
+        let k2_machine = BspMachine::new(&k2, 10);
+        let k2_kernel = k2_machine
+            .lower(&k2_program)
+            .expect("cube program validates");
+        let k2_optimized = k2_machine
+            .lower(&k2_program.optimized())
+            .expect("optimized programs validate");
         Fixtures {
             petersen,
-            petersen_program,
             petersen_kernel,
             petersen_vertical,
             cube3,
@@ -73,6 +79,7 @@ fn fixtures() -> &'static Fixtures {
             cube3_kernel,
             k2,
             k2_program,
+            k2_kernel,
             k2_optimized,
         }
     })
@@ -81,7 +88,7 @@ fn fixtures() -> &'static Fixtures {
 fn bench_single_vector(c: &mut Criterion) {
     let mut group = c.benchmark_group("bsp_single");
     let fx = fixtures();
-    let r = 10; // 1024 nodes: past PAR_THRESHOLD, rounds go parallel.
+    let r = 10; // 1024 nodes.
     let bsp = BspMachine::new(&fx.k2, r);
     let keys = random_keys(1 << r, 7);
     group.bench_function("serial_run", |b| {
@@ -91,17 +98,18 @@ fn bench_single_vector(c: &mut Criterion) {
             black_box(k)
         });
     });
-    group.bench_function("parallel_run", |b| {
+    let mut scratch = ExecScratch::new();
+    group.bench_function("kernel_run", |b| {
         b.iter(|| {
             let mut k = keys.clone();
-            bsp.run_parallel(&mut k, black_box(&fx.k2_program));
+            bsp.run_kernel(&mut k, black_box(&fx.k2_kernel), &mut scratch);
             black_box(k)
         });
     });
-    group.bench_function("parallel_run_optimized", |b| {
+    group.bench_function("kernel_run_optimized", |b| {
         b.iter(|| {
             let mut k = keys.clone();
-            bsp.run_parallel(&mut k, black_box(&fx.k2_optimized));
+            bsp.run_kernel(&mut k, black_box(&fx.k2_optimized), &mut scratch);
             black_box(k)
         });
     });
@@ -117,13 +125,24 @@ fn bench_batched(c: &mut Criterion) {
         let batch: Vec<Vec<u64>> = (0..batch_size as u64)
             .map(|s| random_keys(len, 11 + s))
             .collect();
+        let mut pools = BatchPools::new();
+        let clean = Ladder::clean();
         group.bench_with_input(
-            BenchmarkId::new("run_batch", batch_size),
+            BenchmarkId::new("dispatcher", batch_size),
             &batch,
             |b, batch| {
                 b.iter(|| {
                     let mut batch = batch.clone();
-                    black_box(bsp.run_batch(&mut batch, &fx.petersen_program));
+                    let lane = |i: usize| i as u64;
+                    let run = batch::run(
+                        &bsp,
+                        &fx.petersen_vertical,
+                        &mut batch,
+                        lane,
+                        &clean,
+                        &mut pools,
+                    );
+                    black_box(run);
                     black_box(batch)
                 });
             },
@@ -145,10 +164,9 @@ fn bench_batched(c: &mut Criterion) {
 }
 
 /// Interpreter vs lowered kernel on the E19 reference workload: the
-/// 3-ary 3-cube, single vectors and a 16-vector batch. The acceptance
-/// bar (ISSUE 5) is kernel ≥ 1.5× over `run_parallel` here — the
-/// kernel skips per-run validation, allocates nothing after warm-up,
-/// and dispatches each round on a one-byte class tag.
+/// 3-ary 3-cube, single vectors and a 16-vector batch. The kernel
+/// skips per-run validation, allocates nothing after warm-up, and
+/// dispatches each round on a one-byte class tag.
 fn bench_kernel_speedup(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_speedup");
     let fx = fixtures();
@@ -156,10 +174,10 @@ fn bench_kernel_speedup(c: &mut Criterion) {
     let len = fx.cube3_kernel.shape().len();
     let keys = random_keys(len, 41);
 
-    group.bench_function("interpreter_run_parallel", |b| {
+    group.bench_function("interpreter_run", |b| {
         b.iter(|| {
             let mut k = keys.clone();
-            bsp.run_parallel(&mut k, black_box(&fx.cube3_program));
+            bsp.run(&mut k, black_box(&fx.cube3_program));
             black_box(k)
         });
     });
@@ -173,13 +191,6 @@ fn bench_kernel_speedup(c: &mut Criterion) {
     });
 
     let batch: Vec<Vec<u64>> = (0..16u64).map(|s| random_keys(len, 43 + s)).collect();
-    group.bench_function("interpreter_run_batch_16", |b| {
-        b.iter(|| {
-            let mut batch = batch.clone();
-            black_box(bsp.run_batch(&mut batch, &fx.cube3_program));
-            black_box(batch)
-        });
-    });
     let mut pool = ScratchPool::new();
     group.bench_function("kernel_run_batch_16", |b| {
         b.iter(|| {
@@ -191,22 +202,23 @@ fn bench_kernel_speedup(c: &mut Criterion) {
     group.finish();
 }
 
-/// Observability tax on the batched hot path. `run_batch` with the
-/// default (disabled) logger must stay within noise of the seed's
+/// Observability tax on the batched hot path. `run_kernel_batch` with
+/// the default (disabled) logger must stay within noise of the
 /// uninstrumented numbers — the disabled `EventLogger` is one branch,
 /// and the per-vector inner loops are not instrumented at all. The
 /// `memory_sink` variant shows the cost of actually enabling tracing
-/// (one `Validate` + one `BatchScheduled` event per batch).
+/// (one batch span + one `BatchScheduled` event per batch).
 fn bench_obs_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_overhead");
     let fx = fixtures();
     let batch: Vec<Vec<u64>> = (0..16).map(|s| random_keys(100, 23 + s)).collect();
 
     let bsp = BspMachine::new(&fx.petersen, 2);
-    group.bench_function("run_batch_disabled_logger", |b| {
+    let mut pool = ScratchPool::new();
+    group.bench_function("kernel_batch_disabled_logger", |b| {
         b.iter(|| {
             let mut batch = batch.clone();
-            black_box(bsp.run_batch(&mut batch, &fx.petersen_program));
+            black_box(bsp.run_kernel_batch(&mut batch, &fx.petersen_kernel, &mut pool));
             black_box(batch)
         });
     });
@@ -214,10 +226,10 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let mut traced = BspMachine::new(&fx.petersen, 2);
     let (sink, _reader) = pns_obs::MemorySink::with_capacity(1 << 20);
     traced.attach_logger(pns_obs::EventLogger::new(Box::new(sink)));
-    group.bench_function("run_batch_memory_sink", |b| {
+    group.bench_function("kernel_batch_memory_sink", |b| {
         b.iter(|| {
             let mut batch = batch.clone();
-            black_box(traced.run_batch(&mut batch, &fx.petersen_program));
+            black_box(traced.run_kernel_batch(&mut batch, &fx.petersen_kernel, &mut pool));
             black_box(batch)
         });
     });
@@ -293,54 +305,54 @@ fn bench_obs_overhead(c: &mut Criterion) {
 }
 
 /// Fault-layer tax on the batched hot path. With a disabled
-/// `FaultPlan`, `run_batch_with_faults` takes a fast path with no
+/// `FaultPlan`, the batch dispatcher takes the kernel batch with no
 /// decision hashing, no checkpoints, and no certificate checks, so it
 /// must stay within noise (the acceptance bar is < 2%) of plain
-/// `run_batch`. The enabled variants price the actual defenses at a
-/// realistic rate (1 fault per 1000 sites).
+/// `run_kernel_batch`. The enabled variant prices the retry ladder at
+/// a realistic rate (1 fault per 1000 sites).
 fn bench_fault_overhead(c: &mut Criterion) {
     use pns_simulator::{FaultPlan, RetryPolicy};
     let mut group = c.benchmark_group("fault_overhead");
     let fx = fixtures();
     let batch: Vec<Vec<u64>> = (0..16).map(|s| random_keys(100, 31 + s)).collect();
     let bsp = BspMachine::new(&fx.petersen, 2);
-    let policy = RetryPolicy::default();
 
-    group.bench_function("run_batch_plain", |b| {
+    let mut pool = ScratchPool::new();
+    group.bench_function("kernel_batch_plain", |b| {
         b.iter(|| {
             let mut batch = batch.clone();
-            black_box(bsp.run_batch(&mut batch, &fx.petersen_program));
+            black_box(bsp.run_kernel_batch(&mut batch, &fx.petersen_kernel, &mut pool));
             black_box(batch)
         });
     });
 
-    let disabled = FaultPlan::disabled();
-    group.bench_function("run_batch_faults_disabled", |b| {
-        b.iter(|| {
-            let mut batch = batch.clone();
-            black_box(bsp.run_batch_with_faults(
-                &mut batch,
-                &fx.petersen_program,
-                &disabled,
-                &policy,
-            ));
-            black_box(batch)
+    let mut pools = BatchPools::new();
+    for (name, plan) in [
+        ("dispatcher_faults_disabled", FaultPlan::disabled()),
+        ("dispatcher_faults_rate_1000", FaultPlan::random(5, 1_000)),
+    ] {
+        let ladder = Ladder {
+            plan,
+            policy: RetryPolicy::default(),
+            retries: 0,
+        };
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut batch = batch.clone();
+                let lane = |i: usize| i as u64;
+                let run = batch::run(
+                    &bsp,
+                    &fx.petersen_vertical,
+                    &mut batch,
+                    lane,
+                    &ladder,
+                    &mut pools,
+                );
+                black_box(run);
+                black_box(batch)
+            });
         });
-    });
-
-    let enabled = FaultPlan::random(5, 1_000);
-    group.bench_function("run_batch_faults_rate_1000", |b| {
-        b.iter(|| {
-            let mut batch = batch.clone();
-            black_box(bsp.run_batch_with_faults(
-                &mut batch,
-                &fx.petersen_program,
-                &enabled,
-                &policy,
-            ));
-            black_box(batch)
-        });
-    });
+    }
     group.finish();
 }
 

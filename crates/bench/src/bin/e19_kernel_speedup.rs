@@ -7,38 +7,13 @@
 //! also proves the kernel tier's zero-allocation claim: warm
 //! `run_kernel` calls must not touch the heap at all.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use pns_obs::CountingAlloc;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
 fn main() {
-    let rows = pns_bench::experiments::e19_kernel_speedup::collect(Some(allocations));
+    let rows = pns_bench::experiments::e19_kernel_speedup::collect(Some(CountingAlloc::count));
     let report = pns_bench::experiments::e19_kernel_speedup::report_from_rows(&rows);
     println!("{}", report.to_markdown());
     let json = serde_json::to_string_pretty(&rows).expect("rows serialize");

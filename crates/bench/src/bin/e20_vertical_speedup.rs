@@ -9,38 +9,13 @@
 //! acceptance bar: the bit-sliced path must beat `run_kernel_batch` by
 //! at least 4× on the same 64 zero-one lanes.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use pns_obs::CountingAlloc;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
 fn main() {
-    let rows = pns_bench::experiments::e20_vertical_speedup::collect(Some(allocations));
+    let rows = pns_bench::experiments::e20_vertical_speedup::collect(Some(CountingAlloc::count));
     let report = pns_bench::experiments::e20_vertical_speedup::report_from_rows(&rows);
     println!("{}", report.to_markdown());
     let json = serde_json::to_string_pretty(&rows).expect("rows serialize");

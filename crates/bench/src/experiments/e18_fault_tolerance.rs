@@ -9,14 +9,16 @@
 //! boundaries and retry just the corrupted stage from a checkpoint.
 //!
 //! For a matrix of configurations × fault kinds × rates, a batch of
-//! lanes runs under independently forked fault plans with
-//! `RetryPolicy::default()` (three retries per segment, full
-//! certificates). The table reports faults injected, detections,
-//! retries, quarantined lanes, and the step inflation
-//! `(useful + wasted) / useful` — and checks that **every** lane ends
-//! snake-sorted, at every rate up to 10 faults per 1000 ops. A final
-//! set of rows repeats the sweep with `RetryPolicy::detect_only()`
-//! (no retries) to exercise the quarantine fallback.
+//! lanes runs through the batch dispatcher
+//! ([`pns_simulator::batch::run`]) under independently forked fault
+//! plans with `RetryPolicy::default()` (three retries per segment, full
+//! certificates) and no whole-run retries. The table reports faults
+//! injected, detections, retries, quarantined lanes, and the step
+//! inflation `(useful + wasted) / useful` — and checks that **every**
+//! lane ends equal to the clean [`BspMachine::run`] output, at every
+//! rate up to 10 faults per 1000 ops. A final set of rows repeats the
+//! sweep with `RetryPolicy::detect_only()` (no retries) to exercise the
+//! quarantine fallback.
 //!
 //! With `PNS_OBS=jsonl[:path]`, the fault events
 //! (`fault_injected`/`fault_detected`/`retry_round`/`lane_quarantined`)
@@ -25,10 +27,10 @@
 use crate::Report;
 use pns_graph::factories;
 use pns_obs::EventLogger;
-use pns_simulator::netsort::is_snake_sorted;
+use pns_simulator::batch::{self, BatchPools, Ladder};
 use pns_simulator::{
-    compile, BspMachine, FaultKind, FaultPlan, FaultReport, Hypercube2Sorter, OetSnakeSorter,
-    Pg2Sorter, RetryPolicy, ShearSorter,
+    compile, BspMachine, CompiledProgram, FaultKind, FaultPlan, FaultReport, Hypercube2Sorter,
+    OetSnakeSorter, Pg2Sorter, RetryPolicy, ShearSorter,
 };
 
 const LANES: u64 = 8;
@@ -55,16 +57,33 @@ struct RowOutcome {
 
 fn run_case(
     machine: &BspMachine,
-    program: &pns_simulator::CompiledProgram,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
+    program: &CompiledProgram,
+    plan: FaultPlan,
+    policy: RetryPolicy,
     seed: u64,
 ) -> RowOutcome {
     let len = machine.shape().len();
-    let mut batch: Vec<Vec<u64>> = (0..LANES)
+    let inputs: Vec<Vec<u64>> = (0..LANES)
         .map(|i| lcg_keys(len, seed ^ (i * 7919)))
         .collect();
-    let results = machine.run_batch_with_faults(&mut batch, program, plan, policy);
+    let vertical = machine
+        .lower_vertical(program)
+        .expect("compiled programs validate");
+    let ladder = Ladder {
+        plan,
+        policy,
+        retries: 0,
+    };
+    let mut batch = inputs.clone();
+    let run = batch::run(
+        machine,
+        &vertical,
+        &mut batch,
+        |i| i as u64,
+        &ladder,
+        &mut BatchPools::new(),
+    );
+    let results = run.lanes;
     let mut total = pns_core::RetryCounters::new();
     let mut out = RowOutcome {
         injected: 0,
@@ -83,7 +102,9 @@ fn run_case(
                 out.retries += report.retries.len() as u64;
                 out.quarantined += u64::from(report.quarantined);
                 total = total.then(*counters);
-                out.all_sorted &= is_snake_sorted(machine.shape(), &batch[lane]);
+                let mut clean = inputs[lane].clone();
+                machine.run(&mut clean, program);
+                out.all_sorted &= batch[lane] == clean;
             }
             Err(_) => out.all_sorted = false,
         }
@@ -102,8 +123,9 @@ pub fn run() -> Report {
     let mut report = Report::new(
         "e18_fault_tolerance",
         "Extension: transient faults vs stage certificates — checkpointed \
-         retry sorts every lane at rates up to 10/1000 ops; without \
-         retries, quarantine still degrades gracefully to sorted output",
+         retry returns every lane equal to the clean run at rates up to \
+         10/1000 ops; without retries, quarantine still degrades \
+         gracefully to the clean output",
         &[
             "case",
             "policy",
@@ -140,7 +162,7 @@ pub fn run() -> Report {
         for rate in [100u64, 1_000, 10_000] {
             for (kname, kinds) in kind_sets {
                 let plan = FaultPlan::random_with_kinds(rate ^ 0xE18, rate, kinds);
-                let out = run_case(&machine, &program, &plan, &RetryPolicy::default(), 42);
+                let out = run_case(&machine, &program, plan, RetryPolicy::default(), 42);
                 report.check(out.all_sorted);
                 report.row(&[
                     (*name).to_owned(),
@@ -160,7 +182,7 @@ pub fn run() -> Report {
         // No retries: detections go straight to quarantine, output must
         // still come back sorted.
         let plan = FaultPlan::random(0xDE7EC7, 10_000);
-        let out = run_case(&machine, &program, &plan, &RetryPolicy::detect_only(), 43);
+        let out = run_case(&machine, &program, plan, RetryPolicy::detect_only(), 43);
         report.check(out.all_sorted);
         report.row(&[
             (*name).to_owned(),
@@ -188,8 +210,11 @@ pub fn run() -> Report {
         "With retries disabled every detection exhausts immediately and \
          the batch quarantines the lane: the original input re-runs \
          serially and fault-free. Inflation then jumps (the whole \
-         faulty run is wasted), but no lane is ever returned unsorted \
-         and nothing panics — degradation, not failure.",
+         faulty run is wasted), but every lane still equals the clean \
+         run's output and nothing panics — degradation, not failure. \
+         `sorted` compares each lane with a clean BspMachine::run of \
+         its input, so a lane that is snake-sorted but lost a key \
+         fails it.",
     );
     logger.finish();
     report

@@ -45,8 +45,6 @@ pub enum Event {
         round: u64,
         /// Operations in the round.
         ops: u64,
-        /// Whether the round runs on the intra-round parallel path.
-        parallel: bool,
     },
     /// The matching end of a [`Event::RoundStart`] (same `round`).
     RoundEnd {
@@ -198,23 +196,6 @@ pub enum Event {
 }
 
 impl Event {
-    /// The logical identity of the event: execution-strategy details
-    /// (the `parallel` flag, round widths) are normalized away, so that
-    /// serial and parallel executions of the same program compare equal
-    /// event by event. Timing lives outside the event
-    /// ([`crate::TimedEvent`]), so it is already excluded.
-    #[must_use]
-    pub fn logical(self) -> Event {
-        match self {
-            Event::RoundStart { round, ops, .. } => Event::RoundStart {
-                round,
-                ops,
-                parallel: false,
-            },
-            other => other,
-        }
-    }
-
     /// Short kind tag, for grouping and display.
     #[must_use]
     pub fn kind(&self) -> &'static str {
@@ -255,24 +236,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn logical_view_normalizes_the_parallel_flag() {
-        let serial = Event::RoundStart {
-            round: 3,
-            ops: 10,
-            parallel: false,
-        };
-        let parallel = Event::RoundStart {
-            round: 3,
-            ops: 10,
-            parallel: true,
-        };
-        assert_ne!(serial, parallel);
-        assert_eq!(serial.logical(), parallel.logical());
-        let end = Event::RoundEnd { round: 3 };
-        assert_eq!(end.logical(), end);
-    }
-
-    #[test]
     fn events_serialize_to_externally_tagged_json() {
         let ev = TimedEvent {
             t_ns: 42,
@@ -290,12 +253,7 @@ mod tests {
     #[test]
     fn kinds_are_distinct() {
         let kinds = [
-            Event::RoundStart {
-                round: 0,
-                ops: 0,
-                parallel: false,
-            }
-            .kind(),
+            Event::RoundStart { round: 0, ops: 0 }.kind(),
             Event::RoundEnd { round: 0 }.kind(),
             Event::MergePhase { step: 1, depth: 0 }.kind(),
             Event::S2Unit { units: 1, width: 1 }.kind(),

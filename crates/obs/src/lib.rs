@@ -30,6 +30,7 @@
 //! counters increment. [`ObsSummary`] implements that sum; experiment
 //! E17 asserts the reconciliation end to end.
 
+pub mod alloc;
 pub mod event;
 pub mod logger;
 pub mod metrics;
@@ -38,6 +39,7 @@ pub mod registry;
 pub mod sink;
 pub mod span;
 
+pub use alloc::CountingAlloc;
 pub use event::{Event, TimedEvent};
 pub use logger::EventLogger;
 pub use metrics::{Histogram, ObsSummary};

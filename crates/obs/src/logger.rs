@@ -6,7 +6,7 @@
 //! epoch). Enabled loggers buffer events **per thread** and drain whole
 //! batches into the sink, so hot loops never contend on the sink lock;
 //! this is the timely-dataflow logging shape, adapted to scoped worker
-//! threads that are born and die inside a single `run_batch` call
+//! threads that are born and die inside a single batch call
 //! (buffers flush on thread exit via a thread-local `Drop`).
 
 use crate::event::{Event, TimedEvent};
@@ -360,11 +360,7 @@ mod tests {
         let logger = EventLogger::new(Box::new(sink));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let local = logger.clone();
-            local.log(|| Event::RoundStart {
-                round: 0,
-                ops: 9,
-                parallel: false,
-            });
+            local.log(|| Event::RoundStart { round: 0, ops: 9 });
             assert_eq!(local.buffered_len(), 1);
             panic!("deliberate mid-sort failure");
         }));

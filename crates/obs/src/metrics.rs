@@ -154,8 +154,6 @@ pub struct ObsSummary {
     pub events: u64,
     /// `RoundStart` events.
     pub rounds: u64,
-    /// Rounds that ran on the intra-round parallel path.
-    pub parallel_rounds: u64,
     /// Total operations across all rounds.
     pub ops: u64,
     /// Wall-time per BSP round, from `RoundStart`/`RoundEnd` pairs on
@@ -227,16 +225,9 @@ impl ObsSummary {
     pub fn record(&mut self, ev: &TimedEvent) {
         self.events += 1;
         match ev.event {
-            Event::RoundStart {
-                round,
-                ops,
-                parallel,
-            } => {
+            Event::RoundStart { round, ops } => {
                 self.rounds += 1;
                 self.ops += ops;
-                if parallel {
-                    self.parallel_rounds += 1;
-                }
                 self.open_rounds.insert(round, ev.t_ns);
             }
             Event::RoundEnd { round } => {
@@ -341,8 +332,8 @@ impl fmt::Display for ObsSummary {
         writeln!(f, "  {:<22} {:>12}", "events", self.events)?;
         writeln!(
             f,
-            "  {:<22} {:>12}  ({} parallel, {} ops)",
-            "bsp rounds", self.rounds, self.parallel_rounds, self.ops
+            "  {:<22} {:>12}  ({} ops)",
+            "bsp rounds", self.rounds, self.ops
         )?;
         writeln!(f, "  {:<22} {}", "round wall-time", self.round_ns)?;
         writeln!(f, "  {:<22} {:>12}", "s2 units", self.s2_units)?;
@@ -525,23 +516,9 @@ mod tests {
     #[test]
     fn summary_pairs_rounds_and_sums_units() {
         let events = vec![
-            at(
-                0,
-                Event::RoundStart {
-                    round: 0,
-                    ops: 4,
-                    parallel: false,
-                },
-            ),
+            at(0, Event::RoundStart { round: 0, ops: 4 }),
             at(100, Event::RoundEnd { round: 0 }),
-            at(
-                150,
-                Event::RoundStart {
-                    round: 1,
-                    ops: 6,
-                    parallel: true,
-                },
-            ),
+            at(150, Event::RoundStart { round: 1, ops: 6 }),
             at(400, Event::RoundEnd { round: 1 }),
             at(410, Event::S2Unit { units: 1, width: 3 }),
             at(420, Event::S2Unit { units: 4, width: 0 }),
@@ -574,7 +551,6 @@ mod tests {
         let s = ObsSummary::from_events(&events);
         assert_eq!(s.events, 12);
         assert_eq!(s.rounds, 2);
-        assert_eq!(s.parallel_rounds, 1);
         assert_eq!(s.ops, 10);
         assert_eq!(s.round_ns.count(), 2);
         assert_eq!(s.round_ns.max_ns(), 250);
@@ -644,14 +620,7 @@ mod tests {
 
     #[test]
     fn unmatched_round_start_is_visible() {
-        let s = ObsSummary::from_events(&[at(
-            0,
-            Event::RoundStart {
-                round: 7,
-                ops: 1,
-                parallel: false,
-            },
-        )]);
+        let s = ObsSummary::from_events(&[at(0, Event::RoundStart { round: 7, ops: 1 })]);
         assert_eq!(s.unmatched_rounds(), 1);
         assert_eq!(s.round_ns.count(), 0);
     }

@@ -11,14 +11,14 @@
 //!
 //! # Degradation ladder
 //!
-//! A batch walks down, never up:
+//! Rungs 1–4 are the batch dispatcher's ([`pns_simulator::batch`]),
+//! the same one `Machine::sort_batch` uses; a batch walks down, never
+//! up:
 //!
-//! 1. **Vertical tier** — ≥ [`VERTICAL_MIN_LANES`] clean lanes run
-//!    bit-sliced lockstep ([`BspMachine::run_vertical_batch`]).
-//! 2. **Kernel tier** — smaller clean batches run the flat kernel
-//!    ([`BspMachine::run_kernel_batch`]); fault-plan-enabled lanes run
-//!    [`BspMachine::run_kernel_with_faults`], whose in-run
-//!    checkpoint/retry absorbs transient faults.
+//! 1. **Vertical tier** — wide clean batches run bit-sliced.
+//! 2. **Kernel tier** — smaller clean batches run the flat kernel;
+//!    under a fault plan every lane runs the kernel fault executor,
+//!    whose in-run checkpoint/retry absorbs transient faults.
 //! 3. **Service-level retry** — a lane that exhausts in-run retries is
 //!    re-executed from its original input under a *re-forked* fault
 //!    plan, after a capped-exponential deterministically-jittered
@@ -30,7 +30,10 @@
 //!    that cannot even be admitted got their typed
 //!    [`ServiceError::Rejected`]/[`ServiceError::Timeout`] upstream,
 //!    and an executor panic is contained by `catch_unwind` into
-//!    [`ServiceError::Internal`]. The service never panics a caller.
+//!    [`ServiceError::Internal`] for every lane of its batch. The
+//!    service never panics a caller.
+//!
+//! [`RetryPolicy::backoff_ns`]: pns_fault::RetryPolicy::backoff_ns
 
 use crate::clock::{Clock, SystemClock};
 use crate::core::{LaneVerdict, Pending, Poll as CorePoll, ServiceConfig, ServiceCore, ShapeSpec};
@@ -38,12 +41,11 @@ use crate::error::{RejectReason, ServiceError};
 use crate::stats::ServiceStats;
 use pns_fault::FaultPlan;
 use pns_graph::Graph;
-use pns_obs::Registry;
+use pns_obs::{Registry, Tier};
+use pns_simulator::batch::{self, BatchPools, Ladder};
 use pns_simulator::bsp::{compile, BspMachine, CompiledProgram};
-use pns_simulator::kernel::{ExecScratch, KernelProgram, ScratchPool};
 use pns_simulator::select::SorterChoice;
-use pns_simulator::vertical::{VerticalPool, VerticalProgram, VERTICAL_MIN_LANES};
-use pns_simulator::FaultError;
+use pns_simulator::vertical::VerticalProgram;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -105,7 +107,6 @@ struct RegisteredShape {
     r: usize,
     /// Display name of the `PG_2` sorter this shape compiled under.
     sorter: &'static str,
-    kernel: Arc<KernelProgram>,
     vertical: Arc<VerticalProgram>,
 }
 
@@ -177,18 +178,16 @@ impl ServiceBuilder {
             let sorter = choice.resolve(factor);
             let program: CompiledProgram = compile(factor, r, sorter);
             let machine = BspMachine::new(factor, r);
-            let kernel = Arc::new(machine.lower(&program)?);
-            let vertical = Arc::new(VerticalProgram::lower(Arc::clone(&kernel)));
-            Ok::<_, pns_simulator::bsp::ProgramError>((sorter.name(), kernel, vertical))
+            let vertical = Arc::new(machine.lower_vertical(&program)?);
+            Ok::<_, pns_simulator::bsp::ProgramError>((sorter.name(), vertical))
         }))
         .map_err(|_| ServiceError::Internal("shape compilation panicked"))?;
-        let (sorter, kernel, vertical) =
+        let (sorter, vertical) =
             artifacts.map_err(|_| ServiceError::Internal("shape failed to lower"))?;
         self.shapes.push(RegisteredShape {
             factor: factor.clone(),
             r,
             sorter,
-            kernel,
             vertical,
         });
         Ok(self)
@@ -201,7 +200,7 @@ impl ServiceBuilder {
             .shapes
             .iter()
             .map(|s| ShapeSpec {
-                expected_keys: s.kernel.shape().len(),
+                expected_keys: s.vertical.shape().len(),
             })
             .collect();
         let workers = self.config.workers.max(1);
@@ -346,9 +345,7 @@ impl Drop for SortService {
 /// is thread-local, so machines are per-thread), plus reusable pools.
 struct WorkerCtx {
     machines: Vec<BspMachine>,
-    scratch_pool: ScratchPool<u64>,
-    vertical_pool: VerticalPool<u64>,
-    exec_scratch: ExecScratch<u64>,
+    pools: BatchPools<u64>,
 }
 
 fn worker_loop(shared: &Shared) {
@@ -358,9 +355,7 @@ fn worker_loop(shared: &Shared) {
             .iter()
             .map(|s| BspMachine::new(&s.factor, s.r))
             .collect(),
-        scratch_pool: ScratchPool::new(),
-        vertical_pool: VerticalPool::new(),
-        exec_scratch: ExecScratch::new(),
+        pools: BatchPools::new(),
     };
     loop {
         let mut state = shared.lock();
@@ -470,174 +465,66 @@ fn execute_batch(
             })
             .collect();
     };
-    let (policy, service_retries) = {
+    let ladder = {
         let state = shared.lock();
         let config = state.core.config();
-        (config.retry_policy, config.service_retries)
-    };
-
-    if !shared.plan.is_enabled() {
-        // Clean fast path: rungs 1–2 (vertical for wide batches, kernel
-        // otherwise). Keys move into the closure; identities stay out.
-        let mut batch: Vec<Vec<u64>> = entries
-            .iter_mut()
-            .map(|p| std::mem::take(&mut p.keys))
-            .collect();
-        let vertical = batch.len() >= VERTICAL_MIN_LANES;
-        let sorted = catch_unwind(AssertUnwindSafe(|| {
-            if vertical {
-                machine.run_vertical_batch(
-                    &mut batch,
-                    &registered.vertical,
-                    &mut ctx.vertical_pool,
-                );
-            } else {
-                machine.run_kernel_batch(&mut batch, &registered.kernel, &mut ctx.scratch_pool);
-            }
-            batch
-        }))
-        .ok();
-        {
-            let mut state = shared.lock();
-            state.core.note_batch(vertical);
+        Ladder {
+            plan: shared.plan.clone(),
+            policy: config.retry_policy,
+            retries: config.service_retries,
         }
-        return match sorted {
-            Some(batch) => entries
-                .into_iter()
-                .zip(batch)
-                .map(|(p, keys)| {
-                    (
-                        p,
-                        LaneVerdict::Sorted {
-                            degraded: false,
-                            retried: false,
-                        },
-                        Ok(SortResponse {
-                            keys,
-                            degraded: false,
-                            attempts: 1,
-                        }),
-                    )
-                })
-                .collect(),
-            None => entries
-                .into_iter()
-                .map(|p| {
-                    (
-                        p,
-                        LaneVerdict::Failed,
-                        Err(ServiceError::Internal("executor panicked")),
-                    )
-                })
-                .collect(),
-        };
-    }
-
-    // Fault-enabled path: rung 2 per lane with in-run retries, then the
-    // service-level rungs 3–4. Contained per lane, so one panicking
-    // lane cannot take its batch-mates down with it.
+    };
+    // Keys move into the closure; identities stay out.
+    let mut keys: Vec<Vec<u64>> = entries
+        .iter_mut()
+        .map(|p| std::mem::take(&mut p.keys))
+        .collect();
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        batch::run(
+            machine,
+            &registered.vertical,
+            &mut keys,
+            |i| entries[i].id,
+            &ladder,
+            &mut ctx.pools,
+        )
+    }))
+    .ok();
     {
         let mut state = shared.lock();
-        state.core.note_batch(false);
+        state
+            .core
+            .note_batch(run.as_ref().is_some_and(|r| r.tier == Tier::Vertical));
     }
+    let Some(run) = run else {
+        return entries
+            .into_iter()
+            .map(|p| {
+                (
+                    p,
+                    LaneVerdict::Failed,
+                    Err(ServiceError::Internal("executor panicked")),
+                )
+            })
+            .collect();
+    };
     entries
         .into_iter()
-        .map(|p| {
-            let (verdict, reply) = catch_unwind(AssertUnwindSafe(|| {
-                execute_fault_lane(
-                    shared,
-                    registered,
-                    machine,
-                    &mut ctx.exec_scratch,
-                    &p,
-                    policy,
-                    service_retries,
-                )
-            }))
-            .unwrap_or((
-                LaneVerdict::Failed,
-                Err(ServiceError::Internal("executor panicked")),
-            ));
-            (p, verdict, reply)
+        .zip(run.lanes.into_iter().zip(keys))
+        .map(|(p, (lane, keys))| match lane {
+            Ok(report) => (
+                p,
+                LaneVerdict::Sorted {
+                    degraded: report.quarantined,
+                    retried: report.attempts > 1,
+                },
+                Ok(SortResponse {
+                    keys,
+                    degraded: report.quarantined,
+                    attempts: report.attempts,
+                }),
+            ),
+            Err(e) => (p, LaneVerdict::Failed, Err(ServiceError::Fault(e))),
         })
         .collect()
-}
-
-/// One lane down rungs 2–4 of the ladder.
-fn execute_fault_lane(
-    shared: &Shared,
-    registered: &RegisteredShape,
-    machine: &BspMachine,
-    scratch: &mut ExecScratch<u64>,
-    lane: &Pending,
-    policy: pns_fault::RetryPolicy,
-    service_retries: u32,
-) -> (LaneVerdict, Result<SortResponse, ServiceError>) {
-    let base = shared.plan.fork(lane.id);
-    let mut attempts: u32 = 0;
-    for attempt in 0..=service_retries {
-        attempts += 1;
-        // Re-fork per attempt: a deterministic plan replays the same
-        // faults on the same input, so an honest retry must draw fresh
-        // decisions.
-        let attempt_plan = base.fork(u64::from(attempt));
-        let mut keys = lane.keys.clone();
-        match machine.run_kernel_with_faults(
-            &mut keys,
-            &registered.kernel,
-            &attempt_plan,
-            &policy,
-            scratch,
-        ) {
-            Ok(_report) => {
-                return (
-                    LaneVerdict::Sorted {
-                        degraded: false,
-                        retried: attempt > 0,
-                    },
-                    Ok(SortResponse {
-                        keys,
-                        degraded: false,
-                        attempts,
-                    }),
-                );
-            }
-            Err(FaultError::RetryExhausted { .. }) if attempt < service_retries => {
-                // Rung 3: back off deterministically, then retry.
-                let delay = policy.backoff_ns(attempt + 1);
-                if delay > 0 {
-                    std::thread::sleep(Duration::from_nanos(delay));
-                }
-            }
-            Err(FaultError::RetryExhausted { .. }) => break,
-            Err(other) => {
-                // Wrong key count / invalid program: not recoverable by
-                // retrying — typed error back to the caller.
-                return (LaneVerdict::Failed, Err(ServiceError::Fault(other)));
-            }
-        }
-    }
-    // Rung 4: quarantine — clean serial run from the original input.
-    attempts += 1;
-    let mut keys = lane.keys.clone();
-    match machine.run_kernel_with_faults(
-        &mut keys,
-        &registered.kernel,
-        &FaultPlan::disabled(),
-        &policy,
-        scratch,
-    ) {
-        Ok(_) => (
-            LaneVerdict::Sorted {
-                degraded: true,
-                retried: true,
-            },
-            Ok(SortResponse {
-                keys,
-                degraded: true,
-                attempts,
-            }),
-        ),
-        Err(e) => (LaneVerdict::Failed, Err(ServiceError::Fault(e))),
-    }
 }

@@ -1,7 +1,9 @@
 //! Overload-behavior tests: deterministic breaker transitions through
 //! the service core, watermark shedding through the threaded service,
 //! deadline timeouts under a manual clock, the fault-enabled
-//! degradation ladder end to end, and a small smoke loadtest — every
+//! degradation ladder end to end (and lane for lane against
+//! `Machine`, which shares its batch dispatcher), and a small smoke
+//! loadtest — every
 //! submitted request must resolve to exactly one typed outcome, and
 //! nothing may panic.
 
@@ -10,8 +12,9 @@ use pns_service::{
     BreakerConfig, BreakerState, LaneVerdict, ManualClock, Poll, RateLimit, RejectReason,
     ServiceConfig, ServiceCore, ServiceError, ShapeSpec, SortService, Transport,
 };
+use pns_simulator::batch::Ladder;
 use pns_simulator::netsort::is_snake_sorted;
-use pns_simulator::{BspMachine, FaultPlan};
+use pns_simulator::{BspMachine, FaultPlan, Machine, ProgramCache, RetryPolicy, SorterChoice};
 use std::sync::Arc;
 
 /// `path(3)^2`: 9 keys per request — small enough to batch by the
@@ -367,6 +370,79 @@ fn fault_plan_requests_still_sort_possibly_degraded() {
     assert_eq!(stats.total(|t| t.completed), 64);
     assert_eq!(stats.total(|t| t.degraded), u64::from(degraded));
     assert_eq!(stats.total(|t| t.failed), 0);
+}
+
+/// Submit `inputs` to a fresh one-worker service on `factor^2` that
+/// coalesces them into a single batch (request ids `0..len`), and sort
+/// the same lanes through `Machine::sort_batch_under` with the same
+/// plan and ladder: both go through one batch dispatcher, so keys,
+/// attempt counts and degraded flags must agree lane for lane.
+fn assert_service_matches_machine(
+    factor: &pns_graph::Graph,
+    inputs: &[Vec<u64>],
+    ladder: &Ladder,
+) -> pns_service::ServiceStats {
+    let config = ServiceConfig {
+        coalesce_budget_ns: 60_000_000_000, // only a full group is due
+        request_timeout_ns: 120_000_000_000,
+        max_batch_lanes: inputs.len(),
+        workers: 1,
+        service_retries: ladder.retries,
+        retry_policy: ladder.policy,
+        breaker: BreakerConfig {
+            trip_pct: 0,
+            ..BreakerConfig::default()
+        },
+        ..ServiceConfig::default()
+    };
+    let service = SortService::builder(config)
+        .fault_plan(ladder.plan.clone())
+        .register_shape(factor, 2)
+        .expect("connected factor")
+        .start();
+    let tickets: Vec<_> = inputs
+        .iter()
+        .map(|keys| service.submit(0, 0, keys.clone()).expect("admitted"))
+        .collect();
+    let cache = ProgramCache::new();
+    let mut machine = Machine::compiled_with(factor, 2, SorterChoice::Auto, &cache);
+    let lanes = machine.sort_batch_under(inputs.to_vec(), ladder);
+    for (i, (ticket, lane)) in tickets.into_iter().zip(lanes).enumerate() {
+        let response = ticket.wait().expect("the ladder lands every request");
+        let (report, faults) = lane.expect("well-formed lanes sort");
+        assert_eq!(response.keys, report.keys, "lane {i}: keys");
+        assert_eq!(response.attempts, faults.attempts, "lane {i}: attempts");
+        assert_eq!(response.degraded, faults.quarantined, "lane {i}: degraded");
+    }
+    service.stats()
+}
+
+#[test]
+fn service_and_machine_batches_agree_lane_for_lane() {
+    // star(4)^2 routes through its hub, so dropped routes and stalled
+    // resolves are in play; detect_only (no backoff) with one
+    // whole-run retry makes the ladder retry and quarantine.
+    let factor = factories::star(4);
+    let inputs: Vec<Vec<u64>> = (0..24u64)
+        .map(|i| (0..16).map(|k| (k * 7 + i * 3) % 11).collect())
+        .collect();
+    let ladder = Ladder {
+        plan: FaultPlan::random(0x9a41, 30_000),
+        policy: RetryPolicy::detect_only(),
+        retries: 1,
+    };
+    let stats = assert_service_matches_machine(&factor, &inputs, &ladder);
+    assert_eq!((stats.kernel_batches, stats.vertical_batches), (1, 0));
+    assert!(stats.retried_lanes > 0, "the ladder must do work here");
+    assert_eq!(stats.total(|t| t.completed), inputs.len() as u64);
+
+    // Clean and a full word wide: both take the vertical tier.
+    let wide: Vec<Vec<u64>> = (0..70u64)
+        .map(|i| (0..16).map(|k| (k * 5 + i) % 13).collect())
+        .collect();
+    let stats = assert_service_matches_machine(&factor, &wide, &Ladder::clean());
+    assert_eq!((stats.kernel_batches, stats.vertical_batches), (0, 1));
+    assert_eq!(stats.total(|t| t.degraded), 0);
 }
 
 // ---------------------------------------------------------------------

@@ -633,7 +633,7 @@ impl BspMachine {
 
     /// Emit `RoundStart`/`RoundEnd` per executed round, `Validate` per
     /// static validation, and `BatchScheduled` per batch dispatch into
-    /// `logger`. [`BspMachine::run_batch`]'s per-vector inner loops stay
+    /// `logger`. Batch executors' per-vector inner loops stay
     /// uninstrumented (they are the throughput hot path; the batch-level
     /// events carry their aggregate shape).
     pub fn attach_logger(&mut self, logger: EventLogger) {
@@ -672,7 +672,6 @@ impl BspMachine {
             self.logger.log(|| Event::RoundStart {
                 round: ri as u64,
                 ops: round.len() as u64,
-                parallel: false,
             });
             let _round_span = self.logger.span_if(
                 round.len() >= ROUND_OBS_MIN_OPS,
@@ -801,8 +800,8 @@ impl BspMachine {
     /// round, no resident key may be both read (by a [`Op::Move`] first
     /// hop) and written (by a compare-exchange or resolve). Rounds with
     /// that property execute identically whether ops run in order or
-    /// all read the start-of-round state — the guarantee that makes
-    /// [`BspMachine::run_parallel`] bit-identical to serial execution.
+    /// all read the start-of-round state, so no executor's result
+    /// depends on op order within a round.
     /// [`compile`] and [`CompiledProgram::optimized`] never produce
     /// such rounds.
     ///
@@ -968,307 +967,6 @@ impl BspMachine {
             ops: program.op_count(),
             cert_points: program.cert_points.len(),
         })
-    }
-
-    /// Execute a compiled program with intra-round parallelism. The
-    /// program is validated statically up front ([`BspMachine::validate`]);
-    /// execution itself then runs without per-op checks. Rounds with at
-    /// least [`PAR_THRESHOLD`](crate::engine::PAR_THRESHOLD) operations
-    /// are split across threads: every op reads the immutable
-    /// start-of-round state and produces a deferred effect, and the
-    /// effects (disjoint, by validation) are committed afterwards —
-    /// bit-identical to [`BspMachine::run`] on every input. Smaller
-    /// rounds run serially; chunking overhead would dominate.
-    ///
-    /// Returns the number of rounds executed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if validation fails or `keys.len()` is not one per node.
-    pub fn run_parallel<K>(&self, keys: &mut [K], program: &CompiledProgram) -> u64
-    where
-        K: Ord + Clone + Send + Sync,
-    {
-        let _sort_span = self
-            .logger
-            .span(Tier::Parallel, Stage::Sort, SpanClass::None);
-        {
-            let _validate_span = self
-                .logger
-                .span(Tier::Parallel, Stage::Validate, SpanClass::None);
-            self.validate(program);
-        }
-        assert_eq!(keys.len() as u64, self.shape.len(), "one key per node");
-        let mut transit: Vec<[Option<K>; 2]> = vec![[None, None]; keys.len()];
-        for (ri, round) in program.rounds.iter().enumerate() {
-            let par = round.len() >= crate::engine::PAR_THRESHOLD;
-            self.logger.log(|| Event::RoundStart {
-                round: ri as u64,
-                ops: round.len() as u64,
-                parallel: par,
-            });
-            let _round_span = self.logger.span_if(
-                round.len() >= ROUND_OBS_MIN_OPS,
-                Tier::Parallel,
-                Stage::Round,
-                SpanClass::None,
-            );
-            if !par {
-                exec_round_serial(keys, &mut transit, round);
-            } else {
-                use rayon::prelude::*;
-                let actions: Vec<Action<K>> = {
-                    let keys_ref: &[K] = keys;
-                    let transit_ref: &[[Option<K>; 2]] = &transit;
-                    round
-                        .par_iter()
-                        .map(|op| plan_op(op, keys_ref, transit_ref))
-                        .collect()
-                };
-                commit_actions(actions, keys, &mut transit);
-            }
-            self.logger.log(|| Event::RoundEnd { round: ri as u64 });
-        }
-        program.rounds.len() as u64
-    }
-
-    /// Drive `batch.len()` independent key vectors through one compiled
-    /// program, one thread per vector (inter-input parallelism — the
-    /// natural grain for throughput, since the vectors share nothing).
-    /// The program is validated once for the whole batch; each vector
-    /// then executes serially and unchecked, producing exactly the
-    /// configuration [`BspMachine::run`] would.
-    ///
-    /// Returns the number of rounds executed (the same for every
-    /// vector — the schedule is oblivious).
-    ///
-    /// # Panics
-    ///
-    /// Panics if validation fails or any vector is not one key per node.
-    pub fn run_batch<K>(&self, batch: &mut [Vec<K>], program: &CompiledProgram) -> u64
-    where
-        K: Ord + Clone + Send + Sync,
-    {
-        let _batch_span = self
-            .logger
-            .span(Tier::Parallel, Stage::Batch, SpanClass::None);
-        {
-            let _validate_span = self
-                .logger
-                .span(Tier::Parallel, Stage::Validate, SpanClass::None);
-            self.validate(program);
-        }
-        for keys in batch.iter() {
-            assert_eq!(keys.len() as u64, self.shape.len(), "one key per node");
-        }
-        self.logger.log(|| Event::BatchScheduled {
-            batch: batch.len() as u64,
-            // A batch smaller than the worker pool occupies one lane per
-            // vector, not one per thread.
-            lanes: batch.len().min(rayon::current_num_threads()) as u64,
-        });
-        if batch.len() <= 1 {
-            for keys in batch.iter_mut() {
-                exec_program(keys, program);
-            }
-        } else {
-            use rayon::prelude::*;
-            batch
-                .par_iter_mut()
-                .for_each(|keys| exec_program(keys, program));
-        }
-        program.rounds.len() as u64
-    }
-}
-
-/// Deferred effect of one op, computed against immutable start-of-round
-/// state during parallel round execution.
-enum Action<K> {
-    /// Compare-exchange that needs no swap.
-    Keep,
-    /// Compare-exchange swapping the resident keys at two ranks.
-    Swap(usize, usize),
-    /// Move: write `value` into `(node, slot)`; `clear` is the source
-    /// slot to empty when the payload came from transit.
-    Write {
-        node: usize,
-        slot: usize,
-        value: K,
-        clear: Option<(usize, usize)>,
-    },
-    /// Resolve: clear `(node, slot)` and, if `value` is set, replace
-    /// the resident key with the arrived one.
-    Resolved {
-        node: usize,
-        slot: usize,
-        value: Option<K>,
-    },
-}
-
-/// Compute one op's deferred effect. Only reads; infallible on
-/// validated programs.
-fn plan_op<K: Ord + Clone>(op: &Op, keys: &[K], transit: &[[Option<K>; 2]]) -> Action<K> {
-    match *op {
-        Op::CompareExchange { a, b, min_to_a } => {
-            let (ai, bi) = (a as usize, b as usize);
-            let a_has_min = keys[ai] <= keys[bi];
-            if a_has_min == min_to_a {
-                Action::Keep
-            } else {
-                Action::Swap(ai, bi)
-            }
-        }
-        Op::Move {
-            from,
-            to,
-            slot,
-            from_key,
-        } => {
-            let (fi, si) = (from as usize, slot as usize);
-            let value = if from_key {
-                keys[fi].clone()
-            } else {
-                transit[fi][si].clone().expect("validated: slot occupied")
-            };
-            Action::Write {
-                node: to as usize,
-                slot: si,
-                value,
-                clear: (!from_key).then_some((fi, si)),
-            }
-        }
-        Op::Resolve {
-            node,
-            slot,
-            keep_min,
-        } => {
-            let (ni, si) = (node as usize, slot as usize);
-            let arrived = transit[ni][si].as_ref().expect("validated: slot occupied");
-            let keep_arrived = if keep_min {
-                arrived < &keys[ni]
-            } else {
-                arrived > &keys[ni]
-            };
-            Action::Resolved {
-                node: ni,
-                slot: si,
-                value: keep_arrived.then(|| arrived.clone()),
-            }
-        }
-    }
-}
-
-/// Apply a round's deferred effects: takes clear first (so a slot can
-/// be forwarded and refilled within one round), then keys and slot
-/// writes land. All effects are disjoint by validation, so order within
-/// each phase is irrelevant.
-fn commit_actions<K>(actions: Vec<Action<K>>, keys: &mut [K], transit: &mut [[Option<K>; 2]]) {
-    for action in &actions {
-        match *action {
-            Action::Write {
-                clear: Some((n, s)),
-                ..
-            }
-            | Action::Resolved {
-                node: n, slot: s, ..
-            } => transit[n][s] = None,
-            _ => {}
-        }
-    }
-    for action in actions {
-        match action {
-            Action::Keep => {}
-            Action::Swap(i, j) => keys.swap(i, j),
-            Action::Write {
-                node, slot, value, ..
-            } => {
-                debug_assert!(transit[node][slot].is_none(), "validated: slot free");
-                transit[node][slot] = Some(value);
-            }
-            Action::Resolved { node, value, .. } => {
-                if let Some(v) = value {
-                    keys[node] = v;
-                }
-            }
-        }
-    }
-}
-
-/// One round, serial, unchecked — the data semantics of
-/// [`BspMachine::run`]'s inner loop (takes read start-of-round transit
-/// state; incoming values commit at the end of the round).
-pub(crate) fn exec_round_serial<K: Ord + Clone>(
-    keys: &mut [K],
-    transit: &mut [[Option<K>; 2]],
-    round: &[Op],
-) {
-    let mut incoming: Vec<(usize, usize, K)> = Vec::new();
-    exec_round_serial_scratch(keys, transit, round, &mut incoming);
-}
-
-/// [`exec_round_serial`] with a caller-owned incoming buffer, so hot
-/// loops (whole-program execution, fault segments) allocate the buffer
-/// once instead of once per round.
-pub(crate) fn exec_round_serial_scratch<K: Ord + Clone>(
-    keys: &mut [K],
-    transit: &mut [[Option<K>; 2]],
-    round: &[Op],
-    incoming: &mut Vec<(usize, usize, K)>,
-) {
-    incoming.clear();
-    for op in round {
-        match *op {
-            Op::CompareExchange { a, b, min_to_a } => {
-                let (ai, bi) = (a as usize, b as usize);
-                let a_has_min = keys[ai] <= keys[bi];
-                if a_has_min != min_to_a {
-                    keys.swap(ai, bi);
-                }
-            }
-            Op::Move {
-                from,
-                to,
-                slot,
-                from_key,
-            } => {
-                let (fi, si) = (from as usize, slot as usize);
-                let payload = if from_key {
-                    keys[fi].clone()
-                } else {
-                    transit[fi][si].take().expect("validated: slot occupied")
-                };
-                incoming.push((to as usize, si, payload));
-            }
-            Op::Resolve {
-                node,
-                slot,
-                keep_min,
-            } => {
-                let (ni, si) = (node as usize, slot as usize);
-                let arrived = transit[ni][si].take().expect("validated: slot occupied");
-                let resident = &mut keys[ni];
-                let keep_arrived = if keep_min {
-                    arrived < *resident
-                } else {
-                    arrived > *resident
-                };
-                if keep_arrived {
-                    *resident = arrived;
-                }
-            }
-        }
-    }
-    for (to, slot, payload) in incoming.drain(..) {
-        transit[to][slot] = Some(payload);
-    }
-}
-
-/// Run a whole validated program serially on one key vector.
-pub(crate) fn exec_program<K: Ord + Clone>(keys: &mut [K], program: &CompiledProgram) {
-    let mut transit: Vec<[Option<K>; 2]> = vec![[None, None]; keys.len()];
-    let mut incoming: Vec<(usize, usize, K)> = Vec::new();
-    for round in &program.rounds {
-        exec_round_serial_scratch(keys, &mut transit, round, &mut incoming);
     }
 }
 
@@ -1727,50 +1425,6 @@ mod tests {
     }
 
     #[test]
-    fn run_parallel_is_bit_identical_to_run() {
-        // k2 r=8 has 64-op compare rounds (hits the parallel path);
-        // star relays exercise Move/Resolve on the serial-fallback path.
-        for (factor, r, sorter) in [
-            (factories::k2(), 8usize, &Hypercube2Sorter as &dyn Pg2Sorter),
-            (factories::star(4), 2, &OetSnakeSorter),
-            (factories::path(4), 3, &ShearSorter),
-        ] {
-            let program = compile(&factor, r, sorter);
-            let machine = BspMachine::new(&factor, r);
-            for seed in [1u64, 99, 4242] {
-                let keys = lcg_keys(machine.shape().len(), seed);
-                let mut serial = keys.clone();
-                let mut parallel = keys;
-                machine.run(&mut serial, &program);
-                machine.run_parallel(&mut parallel, &program);
-                assert_eq!(serial, parallel, "{factor:?} r={r} seed={seed}");
-                assert!(snake_sorted(machine.shape(), &parallel));
-            }
-        }
-    }
-
-    #[test]
-    fn run_batch_matches_individual_runs() {
-        let factor = factories::star(4);
-        let program = compile(&factor, 2, &OetSnakeSorter);
-        let machine = BspMachine::new(&factor, 2);
-        let mut batch: Vec<Vec<u64>> = (0..8)
-            .map(|seed| lcg_keys(machine.shape().len(), seed * 7 + 1))
-            .collect();
-        let expected: Vec<Vec<u64>> = batch
-            .iter()
-            .map(|keys| {
-                let mut k = keys.clone();
-                machine.run(&mut k, &program);
-                k
-            })
-            .collect();
-        let rounds = machine.run_batch(&mut batch, &program);
-        assert_eq!(rounds as usize, program.rounds());
-        assert_eq!(batch, expected);
-    }
-
-    #[test]
     fn optimized_program_sorts_identically_with_fewer_rounds() {
         for (factor, r, sorter) in [
             (factories::k2(), 4usize, &Hypercube2Sorter as &dyn Pg2Sorter),
@@ -1794,17 +1448,14 @@ mod tests {
             );
             assert!(stats.rounds_after <= stats.rounds_before);
             // The optimized program still produces the exact serial
-            // configuration, in both executors.
+            // configuration.
             let machine = BspMachine::new(&factor, r);
             let keys = lcg_keys(machine.shape().len(), 5);
             let mut baseline = keys.clone();
             machine.run(&mut baseline, &program);
-            let mut via_opt = keys.clone();
+            let mut via_opt = keys;
             machine.run(&mut via_opt, &opt);
             assert_eq!(baseline, via_opt, "{factor:?} optimized serial");
-            let mut via_opt_par = keys;
-            machine.run_parallel(&mut via_opt_par, &opt);
-            assert_eq!(baseline, via_opt_par, "{factor:?} optimized parallel");
         }
     }
 
@@ -2017,61 +1668,16 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_runs_emit_identical_logical_round_events() {
-        // k2 r=8 has rounds above PAR_THRESHOLD, so the parallel path
-        // really engages and sets the `parallel` flag.
-        let factor = factories::k2();
-        let program = compile(&factor, 8, &Hypercube2Sorter);
-        let keys = lcg_keys(1 << 8, 7);
-
-        let (serial_machine, serial_reader) = traced_machine(&factor, 8);
-        let mut serial_keys = keys.clone();
-        serial_machine.run(&mut serial_keys, &program);
-        let serial = drain(&serial_machine, &serial_reader);
-
-        let (par_machine, par_reader) = traced_machine(&factor, 8);
-        let mut par_keys = keys;
-        par_machine.run_parallel(&mut par_keys, &program);
-        let parallel = drain(&par_machine, &par_reader);
-
-        // run_parallel validates first (one extra Validate event) and
-        // raises the `parallel` flag on big rounds; the *logical* round
-        // sequence must match the serial run's exactly.
-        let rounds_of = |events: &[pns_obs::TimedEvent]| -> Vec<Event> {
-            events
-                .iter()
-                .map(|e| e.event)
-                .filter(|e| matches!(e, Event::RoundStart { .. } | Event::RoundEnd { .. }))
-                .map(Event::logical)
-                .collect()
-        };
-        assert_eq!(rounds_of(&serial), rounds_of(&parallel));
-        assert!(
-            serial.iter().all(|e| e.event.logical() == e.event),
-            "serial round events must already be in logical form"
-        );
-        assert!(
-            parallel
-                .iter()
-                .any(|e| matches!(e.event, Event::RoundStart { parallel: true, .. })),
-            "expected at least one parallel round on the 8-cube"
-        );
-        assert_eq!(
-            parallel
-                .iter()
-                .filter(|e| matches!(e.event, Event::Validate { .. }))
-                .count(),
-            1
-        );
-    }
-
-    #[test]
     fn batches_emit_schedule_and_validate_events() {
         let factor = factories::path(3);
         let program = compile(&factor, 2, &OetSnakeSorter).optimized();
         let (machine, reader) = traced_machine(&factor, 2);
         let mut batch: Vec<Vec<u64>> = (0..5).map(|s| lcg_keys(9, s + 1)).collect();
-        machine.run_batch(&mut batch, &program);
+        let kernel = machine
+            .lower(&program)
+            .expect("optimized programs validate");
+        let mut pool = crate::kernel::ScratchPool::new();
+        machine.run_kernel_batch(&mut batch, &kernel, &mut pool);
         let events = drain(&machine, &reader);
         let stats = program.stats();
         assert!(events.iter().any(|e| e.event
@@ -2092,6 +1698,19 @@ mod tests {
                 lanes: 5.min(rayon::current_num_threads() as u64),
             }]
         );
+    }
+
+    /// A program lowered for round-by-round stepping, with its scratch.
+    fn stepper(
+        program: &CompiledProgram,
+        nodes: usize,
+    ) -> (
+        crate::kernel::KernelProgram,
+        crate::kernel::ExecScratch<u64>,
+    ) {
+        let mut scratch = crate::kernel::ExecScratch::new();
+        scratch.reset(nodes);
+        (crate::kernel::KernelProgram::lower(program), scratch)
     }
 
     #[test]
@@ -2117,9 +1736,9 @@ mod tests {
             // The certified invariant actually holds at each boundary.
             let machine = BspMachine::new(&factor, r);
             let mut keys = lcg_keys(machine.shape().len(), 23);
-            let mut transit: Vec<[Option<u64>; 2]> = vec![[None, None]; keys.len()];
+            let (kernel, mut scratch) = stepper(&program, keys.len());
             let mut next_cert = 0;
-            for (ri, round) in program.round_ops().iter().enumerate() {
+            for ri in 0..kernel.rounds() {
                 while next_cert < certs.len() && certs[next_cert].round as usize == ri {
                     assert!(
                         crate::verify::subgraphs_snake_sorted(
@@ -2131,7 +1750,7 @@ mod tests {
                     );
                     next_cert += 1;
                 }
-                exec_round_serial(&mut keys, &mut transit, round);
+                crate::kernel::exec_kernel_round(&mut keys, &kernel, ri, &mut scratch);
             }
             for c in &certs[next_cert..] {
                 assert_eq!(c.round as usize, program.rounds());
@@ -2162,10 +1781,10 @@ mod tests {
             // Certified invariants hold at the remapped boundaries too.
             let machine = BspMachine::new(&factor, r);
             let mut keys = lcg_keys(machine.shape().len(), 29);
-            let mut transit: Vec<[Option<u64>; 2]> = vec![[None, None]; keys.len()];
+            let (kernel, mut scratch) = stepper(&opt, keys.len());
             let certs = opt.cert_points();
             let mut next_cert = 0;
-            for (ri, round) in opt.round_ops().iter().enumerate() {
+            for ri in 0..kernel.rounds() {
                 while next_cert < certs.len() && certs[next_cert].round as usize == ri {
                     assert!(
                         crate::verify::subgraphs_snake_sorted(
@@ -2177,7 +1796,7 @@ mod tests {
                     );
                     next_cert += 1;
                 }
-                exec_round_serial(&mut keys, &mut transit, round);
+                crate::kernel::exec_kernel_round(&mut keys, &kernel, ri, &mut scratch);
             }
             assert!(crate::netsort::is_snake_sorted(machine.shape(), &keys));
         }

@@ -80,8 +80,7 @@ impl ChargedEngine {
 
 /// Below this many independent work items a parallel round runs
 /// serially: the rayon fork-join overhead dwarfs the work on tiny
-/// rounds. Shared by the engines here and the BSP executor
-/// ([`crate::bsp::BspMachine::run_parallel`]).
+/// rounds.
 pub const PAR_THRESHOLD: usize = 64;
 
 impl<K: Ord + Clone + Send + Sync> Engine<K> for ChargedEngine {

@@ -1,9 +1,10 @@
-//! Fault-injecting execution with round-level checkpoint/retry.
+//! Fault-injecting kernel execution with round-level checkpoint/retry.
 //!
-//! This module runs a [`CompiledProgram`] under a [`FaultPlan`]: every
-//! operation site may suffer a *transient* fault (each site fires at
-//! most once per run), and the executor defends itself with the
-//! program's stage certificates:
+//! [`BspMachine::run_kernel_with_faults`] runs a lowered
+//! [`KernelProgram`] under a [`FaultPlan`]: every operation site may
+//! suffer a *transient* fault (each site fires at most once per run),
+//! and the executor defends itself with the program's stage
+//! certificates:
 //!
 //! 1. **Injection** — [`FaultPlan::decide`] is consulted per site; a
 //!    fired site perturbs the op's semantics ([`FaultKind::FlipCompare`]
@@ -20,8 +21,13 @@
 //!    [`crate::verify::subgraphs_snake_sorted`] when
 //!    [`RetryPolicy::recheck_depth`] is 0, or by `recheck_depth` sampled
 //!    adjacent-pair probes otherwise. The **final** certificate is
-//!    always checked in full, so an `Ok` return implies the output is
-//!    snake-sorted.
+//!    always checked in full. Segments that contain route rounds also
+//!    check that they preserved the multiset of keys: compare-exchanges,
+//!    flipped or not, only swap keys, but a dropped route or a stalled
+//!    resolve copies one key over another, and the copy can land in
+//!    sorted position where no order check sees it. Together the two
+//!    certificates make an `Ok` return exact: the output is snake-sorted
+//!    and a permutation of the input, so it equals the clean run's.
 //! 3. **Recovery** — the key vector is checkpointed at each segment
 //!    boundary (transit is provably empty there, so keys are the whole
 //!    state); a failed check restores the checkpoint and re-runs the
@@ -30,17 +36,14 @@
 //!    retried segment executes clean — the analogue of repairing a
 //!    faulty link between synchronous phases of a periodic network.
 //!
-//! [`BspMachine::run_batch_with_faults`] adds graceful degradation: a
-//! lane that exhausts its retries is *quarantined* — its original input
-//! is restored and re-sorted serially without injection — while healthy
-//! lanes commit their (cheaper) checkpointed runs. The batch never
-//! panics and returns one `Result` per lane.
+//! The batch ladder on top of one run — whole-run retries under
+//! re-forked plans, then quarantine — is [`crate::batch`].
 //!
 //! When the plan is disabled, execution takes a fast path identical to
-//! [`BspMachine::run_batch`]'s inner loop: no decision hashing, no
-//! checkpoints, no certificate checks (fault-free execution of a
-//! validated program is correct by construction), which keeps the
-//! disabled-injection overhead within noise.
+//! [`BspMachine::run_kernel`]: no decision hashing, no checkpoints, no
+//! certificate checks (fault-free execution of a validated program is
+//! correct by construction), which keeps the disabled-injection
+//! overhead within noise.
 
 use std::collections::HashSet;
 
@@ -49,11 +52,8 @@ use pns_fault::{FaultKind, FaultPlan, FaultSite, OpClass, RetryPolicy};
 use pns_obs::{Event, SpanClass, Stage, Tier};
 use pns_order::radix::Shape;
 
-use crate::bsp::{
-    exec_program, exec_round_serial_scratch, BspMachine, CertPoint, CompiledProgram, Op,
-    ProgramError,
-};
-use crate::kernel::{exec_kernel_round, ExecScratch, KernelProgram, RoundClass};
+use crate::bsp::{BspMachine, CertPoint, Op};
+use crate::kernel::{exec_kernel, ExecScratch, KernelProgram, RoundClass};
 use crate::verify::subgraphs_snake_sorted;
 use pns_core::RetryCounters;
 
@@ -67,22 +67,16 @@ pub enum FaultError {
         /// Keys actually supplied.
         got: usize,
     },
-    /// The program failed static validation; nothing was executed.
-    Invalid(ProgramError),
     /// A segment's certificate still failed after the last permitted
     /// retry. The key vector is left in the (corrupted) state of the
-    /// final attempt; batch execution quarantines the lane instead of
-    /// surfacing this.
+    /// final attempt; the batch ladder ([`crate::batch`]) retries or
+    /// quarantines the lane instead of surfacing this.
     RetryExhausted {
         /// Boundary round of the segment that could not be repaired.
         round: u64,
         /// Attempts executed (initial run plus retries).
         attempts: u32,
     },
-    /// An executor invariant broke (e.g. a batch lane produced no
-    /// outcome). Unreachable by construction; surfaced as a typed error
-    /// rather than a panic so callers stay up regardless.
-    Internal(&'static str),
 }
 
 impl std::fmt::Display for FaultError {
@@ -91,30 +85,15 @@ impl std::fmt::Display for FaultError {
             FaultError::WrongKeyCount { expected, got } => {
                 write!(f, "expected {expected} keys (one per node), got {got}")
             }
-            FaultError::Invalid(e) => write!(f, "invalid program: {e}"),
             FaultError::RetryExhausted { round, attempts } => write!(
                 f,
                 "certificate at round {round} still failing after {attempts} attempts"
             ),
-            FaultError::Internal(what) => write!(f, "internal invariant violated: {what}"),
         }
     }
 }
 
-impl std::error::Error for FaultError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            FaultError::Invalid(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<ProgramError> for FaultError {
-    fn from(e: ProgramError) -> Self {
-        FaultError::Invalid(e)
-    }
-}
+impl std::error::Error for FaultError {}
 
 /// One fault that actually fired during a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,45 +126,47 @@ pub struct Retry {
 }
 
 /// What happened during a fault-tolerant run. Returned by
-/// [`BspMachine::run_with_faults`] on success; batch lanes return one
-/// per lane (with [`FaultReport::quarantined`] marking fallbacks).
+/// [`BspMachine::run_kernel_with_faults`] on success; the batch
+/// dispatcher ([`crate::batch::run`]) returns one per lane, summed over
+/// the lane's whole-run attempts.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultReport {
     /// Total rounds executed, useful and wasted
     /// (= `counters.total_rounds()`).
     pub rounds: u64,
+    /// Whole-program executions: 1 for a single run; the batch ladder
+    /// counts each whole-run retry and the quarantine run.
+    pub attempts: u32,
     /// Every fault that fired, in execution order.
     pub injected: Vec<InjectedFault>,
     /// Every failed certificate check, in execution order.
     pub detections: Vec<Detection>,
     /// Every checkpoint restore, in execution order.
     pub retries: Vec<Retry>,
-    /// Whether the lane fell back to a clean serial re-run (batch
-    /// execution only; always `false` for single runs).
+    /// Whether the lane fell back to a clean re-run (batch ladder
+    /// only; always `false` for single runs).
     pub quarantined: bool,
     /// Useful/wasted round accounting for step-inflation reporting.
     pub counters: RetryCounters,
 }
 
 /// A program segment between certificate boundaries.
-pub(crate) struct Segment {
+struct Segment {
     /// First round (inclusive).
-    pub(crate) start: usize,
+    start: usize,
     /// One past the last round.
-    pub(crate) end: usize,
+    end: usize,
     /// The certificate closing the segment: `(boundary round, dims,
     /// is_final)`. `None` for an uncertified tail (hand-built programs
     /// whose cert points do not reach the end).
-    pub(crate) check: Option<(u64, u32, bool)>,
+    check: Option<(u64, u32, bool)>,
 }
 
 /// Split a program into checkpointable segments at its certificate
-/// boundaries. Works off the certificate list and the round count
-/// alone, so interpreted and lowered programs (which share both, 1:1)
-/// segment identically. Programs without certificates (e.g. built via
+/// boundaries. Programs without certificates (e.g. built via
 /// `CompiledProgram::from_rounds`) become a single unchecked segment —
 /// the executor then runs open-loop and cannot detect anything.
-pub(crate) fn segments(certs: &[CertPoint], rounds: usize) -> Vec<Segment> {
+fn segments(certs: &[CertPoint], rounds: usize) -> Vec<Segment> {
     let mut out = Vec::with_capacity(certs.len() + 1);
     let mut start = 0usize;
     for (i, c) in certs.iter().enumerate() {
@@ -206,7 +187,7 @@ pub(crate) fn segments(certs: &[CertPoint], rounds: usize) -> Vec<Segment> {
     out
 }
 
-/// Fault-decision state threaded through the round executors: the plan
+/// Fault-decision state threaded through the round executor: the plan
 /// plus the per-run fired set and injection log.
 struct FaultCtx<'a> {
     plan: &'a FaultPlan,
@@ -219,8 +200,7 @@ impl FaultCtx<'_> {
     /// honouring the transient model (a site that already fired never
     /// fires again, so retried segments execute clean) and recording
     /// what fired. Keyed purely by `(round, op)` indices, which lowering
-    /// preserves — so the interpreter and kernel fault paths draw the
-    /// identical decision sequence from the same plan.
+    /// preserves, so a plan names the same sites in the source program.
     fn decide(&mut self, round_idx: u64, oi: usize, class: OpClass) -> Option<FaultKind> {
         let site = FaultSite {
             round: round_idx,
@@ -240,9 +220,8 @@ impl FaultCtx<'_> {
 }
 
 /// Apply one op under an (optional) fired fault. Semantics match
-/// `exec_round_serial` except at fired sites; the transit occupancy
-/// schedule is identical either way. Shared by the interpreter and
-/// kernel fault paths, so their fault semantics cannot drift apart.
+/// [`BspMachine::run`] except at fired sites; the transit occupancy
+/// schedule is identical either way.
 fn apply_op_faulty<K: Ord + Clone>(
     op: &Op,
     fault: Option<FaultKind>,
@@ -306,34 +285,10 @@ fn apply_op_faulty<K: Ord + Clone>(
     }
 }
 
-/// Execute one interpreted round with fault injection.
-fn exec_round_faulty<K: Ord + Clone>(
-    keys: &mut [K],
-    transit: &mut [[Option<K>; 2]],
-    incoming: &mut Vec<(usize, usize, K)>,
-    round: &[Op],
-    round_idx: u64,
-    ctx: &mut FaultCtx<'_>,
-) {
-    incoming.clear();
-    for (oi, op) in round.iter().enumerate() {
-        let class = match op {
-            Op::CompareExchange { .. } => OpClass::Compare,
-            Op::Move { .. } => OpClass::Route,
-            Op::Resolve { .. } => OpClass::Resolve,
-        };
-        let fault = ctx.decide(round_idx, oi, class);
-        apply_op_faulty(op, fault, keys, transit, incoming);
-    }
-    for (to, slot, payload) in incoming.drain(..) {
-        transit[to][slot] = Some(payload);
-    }
-}
-
-/// Execute one *lowered* round with fault injection. Micro-ops decode
+/// Execute one lowered round with fault injection. Micro-ops decode
 /// back to the exact source [`Op`]s in original order (lowering is
 /// order-preserving), so the op index — and with it every
-/// [`FaultSite`] decision — matches the interpreter path exactly.
+/// [`FaultSite`] decision — names the op of the source program.
 fn exec_kernel_round_faulty<K: Ord + Clone>(
     keys: &mut [K],
     transit: &mut [[Option<K>; 2]],
@@ -380,31 +335,51 @@ fn exec_kernel_round_faulty<K: Ord + Clone>(
     }
 }
 
-/// Checkpoint/retry loop over an abstract faulty round executor, free
-/// of `&BspMachine` so batch lanes can run it from worker threads
-/// without sharing the (single-threaded) event logger. The interpreter
-/// and kernel paths both drive this loop — segmentation, checkpoints,
-/// certificate checks, probe seeds, and accounting are shared code, so
-/// the two paths can only differ in per-round execution (and that is
-/// pinned by the differential suite). Returns the report plus
-/// `Some((boundary, attempts))` if a segment exhausted its retries.
-fn checkpoint_retry_loop<K: Ord + Clone>(
+/// `keys` sorted, the reference of the multiset certificate.
+fn sorted_copy<K: Ord + Clone>(keys: &[K]) -> Vec<K> {
+    let mut sorted = keys.to_vec();
+    sorted.sort_unstable();
+    sorted
+}
+
+/// One run of `kernel` under `plan`: segments, checkpoints, certificate
+/// checks and retries. `scratch` serves the disabled-plan fast path
+/// (identical to [`BspMachine::run_kernel`], zero allocations when
+/// warm); the enabled path allocates its own checkpoints. Returns the
+/// report plus `Some((boundary, attempts))` if a segment exhausted its
+/// retries.
+fn exec_kernel_with_faults<K: Ord + Clone>(
     shape: Shape,
     keys: &mut [K],
-    certs: &[CertPoint],
-    total_rounds: usize,
+    kernel: &KernelProgram,
     plan: &FaultPlan,
     policy: &RetryPolicy,
-    mut run_round: impl FnMut(&mut [K], &mut [[Option<K>; 2]], usize, &mut FaultCtx<'_>),
+    scratch: &mut ExecScratch<K>,
 ) -> (FaultReport, Option<(u64, u32)>) {
-    let mut report = FaultReport::default();
+    let mut report = FaultReport {
+        attempts: 1,
+        ..FaultReport::default()
+    };
+    if !plan.is_enabled() {
+        // Fast path: plain kernel execution, no hashing, no checks.
+        exec_kernel(keys, kernel, scratch);
+        report.counters.useful_rounds = kernel.rounds() as u64;
+        report.rounds = kernel.rounds() as u64;
+        return (report, None);
+    }
     let mut fired: HashSet<FaultSite> = HashSet::new();
     let mut transit: Vec<[Option<K>; 2]> = vec![[None, None]; keys.len()];
-    for seg in segments(certs, total_rounds) {
+    let mut incoming: Vec<(usize, usize, K)> = Vec::new();
+    for seg in segments(kernel.cert_points(), kernel.rounds()) {
         // Transit is empty at segment boundaries (relays complete within
         // a stage), so the key vector is the entire checkpoint.
         let checkpoint: Option<Vec<K>> =
             (policy.max_retries > 0 && seg.check.is_some()).then(|| keys.to_vec());
+        // Only route rounds can break the multiset; a restore brings
+        // back the same multiset, so one reference serves every attempt.
+        let multiset: Option<Vec<K>> = (seg.check.is_some()
+            && (seg.start..seg.end).any(|ri| kernel.class(ri) == RoundClass::Route))
+        .then(|| sorted_copy(keys));
         let seg_rounds = (seg.end - seg.start) as u64;
         let mut attempt: u32 = 0;
         loop {
@@ -414,7 +389,7 @@ fn checkpoint_retry_loop<K: Ord + Clone>(
                     fired: &mut fired,
                     injected: &mut report.injected,
                 };
-                run_round(keys, &mut transit, ri, &mut ctx);
+                exec_kernel_round_faulty(keys, &mut transit, &mut incoming, kernel, ri, &mut ctx);
             }
             debug_assert!(
                 transit.iter().all(|t| t[0].is_none() && t[1].is_none()),
@@ -423,34 +398,35 @@ fn checkpoint_retry_loop<K: Ord + Clone>(
             // Checks produce the failing certificate directly (rather
             // than a bool re-paired with `seg.check` afterwards), so the
             // failure path cannot be reached without one — no panic path.
-            let failed_check = match seg.check {
-                None => None,
-                Some((boundary, dims, is_final)) => {
-                    // The final certificate is always checked in full —
-                    // an Ok return must imply a snake-sorted output.
-                    let ok = if !is_final && policy.recheck_depth > 0 {
-                        sampled_subgraph_certificate(
-                            shape,
-                            keys,
-                            dims as usize,
-                            policy.recheck_depth,
-                            plan.probe_seed(boundary, u64::from(attempt)),
-                        )
-                    } else {
-                        subgraphs_snake_sorted(shape, keys, dims as usize)
-                    };
-                    (!ok).then_some((boundary, dims, is_final))
-                }
-            };
-            let Some((boundary, dims, is_final)) = failed_check else {
+            let failed_check = seg.check.and_then(|(boundary, dims, is_final)| {
+                // The final certificate is always checked in full.
+                let sampled = !is_final && policy.recheck_depth > 0;
+                let ordered = if sampled {
+                    sampled_subgraph_certificate(
+                        shape,
+                        keys,
+                        dims as usize,
+                        policy.recheck_depth,
+                        plan.probe_seed(boundary, u64::from(attempt)),
+                    )
+                } else {
+                    subgraphs_snake_sorted(shape, keys, dims as usize)
+                };
+                let permuted = ordered
+                    && multiset
+                        .as_deref()
+                        .is_none_or(|want| sorted_copy(keys) == want);
+                (!permuted).then_some(Detection {
+                    round: boundary,
+                    dims,
+                    sampled: sampled && !ordered,
+                })
+            });
+            let Some(detection) = failed_check else {
                 report.counters.useful_rounds += seg_rounds;
                 break;
             };
-            report.detections.push(Detection {
-                round: boundary,
-                dims,
-                sampled: !is_final && policy.recheck_depth > 0,
-            });
+            report.detections.push(detection);
             report.counters.detections += 1;
             report.counters.wasted_rounds += seg_rounds;
             // Retrying requires the checkpoint taken at the segment
@@ -462,7 +438,7 @@ fn checkpoint_retry_loop<K: Ord + Clone>(
                 .filter(|_| attempt < policy.max_retries);
             let Some(restore) = retryable else {
                 report.rounds = report.counters.total_rounds();
-                return (report, Some((boundary, attempt + 1)));
+                return (report, Some((detection.round, attempt + 1)));
             };
             attempt += 1;
             // Capped-exponential backoff before the re-execution —
@@ -483,92 +459,9 @@ fn checkpoint_retry_loop<K: Ord + Clone>(
     (report, None)
 }
 
-/// Interpreter fault executor (see [`checkpoint_retry_loop`]).
-fn exec_with_faults<K: Ord + Clone>(
-    shape: Shape,
-    keys: &mut [K],
-    program: &CompiledProgram,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-) -> (FaultReport, Option<(u64, u32)>) {
-    let rounds = program.round_ops();
-    let mut report = FaultReport::default();
-    if !plan.is_enabled() {
-        // Fast path: plain serial execution, no hashing, no checks.
-        let mut transit: Vec<[Option<K>; 2]> = vec![[None, None]; keys.len()];
-        let mut incoming: Vec<(usize, usize, K)> = Vec::new();
-        for round in rounds {
-            exec_round_serial_scratch(keys, &mut transit, round, &mut incoming);
-        }
-        report.counters.useful_rounds = rounds.len() as u64;
-        report.rounds = rounds.len() as u64;
-        return (report, None);
-    }
-    let mut incoming: Vec<(usize, usize, K)> = Vec::new();
-    checkpoint_retry_loop(
-        shape,
-        keys,
-        program.cert_points(),
-        rounds.len(),
-        plan,
-        policy,
-        |keys, transit, ri, ctx| {
-            exec_round_faulty(keys, transit, &mut incoming, &rounds[ri], ri as u64, ctx);
-        },
-    )
-}
-
-/// Kernel-path fault executor: the same [`checkpoint_retry_loop`] over
-/// [`exec_kernel_round_faulty`]. `scratch` serves the disabled-plan
-/// fast path (identical to [`BspMachine::run_kernel`], zero allocations
-/// when warm); the enabled path allocates its own checkpoints like the
-/// interpreter does.
-fn exec_kernel_with_faults<K: Ord + Clone>(
-    shape: Shape,
-    keys: &mut [K],
-    kernel: &KernelProgram,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    scratch: &mut ExecScratch<K>,
-) -> (FaultReport, Option<(u64, u32)>) {
-    let mut report = FaultReport::default();
-    if !plan.is_enabled() {
-        // Fast path: plain kernel execution, no hashing, no checks.
-        scratch.reset(keys.len());
-        for ri in 0..kernel.rounds() {
-            exec_kernel_round(keys, kernel, ri, scratch);
-        }
-        report.counters.useful_rounds = kernel.rounds() as u64;
-        report.rounds = kernel.rounds() as u64;
-        return (report, None);
-    }
-    let mut incoming: Vec<(usize, usize, K)> = Vec::new();
-    checkpoint_retry_loop(
-        shape,
-        keys,
-        kernel.cert_points(),
-        kernel.rounds(),
-        plan,
-        policy,
-        |keys, transit, ri, ctx| {
-            exec_kernel_round_faulty(keys, transit, &mut incoming, kernel, ri, ctx);
-        },
-    )
-}
-
-/// One batch lane: distinct `&mut` targets for the parallel workers,
-/// with the per-lane outcome written in place (the vendored `rayon`
-/// subset has no indexed map-collect).
-struct LaneSlot<'a, K> {
-    lane: u64,
-    keys: &'a mut Vec<K>,
-    outcome: Option<Result<FaultReport, FaultError>>,
-}
-
 impl BspMachine {
-    /// Emit the observability events a finished lane accumulated. Runs
-    /// on the calling thread (the logger's buffers are thread-local).
-    pub(crate) fn emit_fault_events(&self, report: &FaultReport, lane: Option<u64>) {
+    /// Emit the observability events a finished run accumulated.
+    fn emit_fault_events(&self, report: &FaultReport) {
         for f in &report.injected {
             self.logger.log(|| Event::FaultInjected {
                 round: f.site.round,
@@ -589,58 +482,39 @@ impl BspMachine {
                 attempt: u64::from(r.attempt),
             });
         }
-        if report.quarantined {
-            if let Some(lane) = lane {
-                self.logger.log(|| Event::LaneQuarantined { lane });
-            }
-        }
     }
 
-    /// Execute a compiled program on `keys` under `plan`, detecting
-    /// corruption at the program's certificate boundaries and retrying
-    /// failed segments from checkpoints per `policy`.
-    ///
-    /// On `Ok`, the final full certificate passed: `keys` is
-    /// snake-sorted. On [`FaultError::RetryExhausted`], `keys` holds the
-    /// corrupted state of the last attempt (callers wanting a sorted
-    /// result anyway should re-run clean — the batch API does this
-    /// automatically).
-    ///
-    /// # Errors
-    ///
-    /// [`FaultError::Invalid`] if the program fails static validation
-    /// (nothing executed), [`FaultError::WrongKeyCount`] if `keys` is
-    /// not one per node, [`FaultError::RetryExhausted`] as above.
-    pub fn run_with_faults<K: Ord + Clone>(
+    /// One traced fault run on keys already checked to be one per node:
+    /// the report, plus the error if a segment exhausted its retries.
+    /// The batch ladder keeps the report of a failed attempt for its
+    /// accounting, which [`BspMachine::run_kernel_with_faults`] drops.
+    pub(crate) fn fault_attempt<K: Ord + Clone>(
         &self,
         keys: &mut [K],
-        program: &CompiledProgram,
+        kernel: &KernelProgram,
         plan: &FaultPlan,
         policy: &RetryPolicy,
-    ) -> Result<FaultReport, FaultError> {
-        self.try_validate(program)?;
-        if keys.len() as u64 != self.shape().len() {
-            return Err(FaultError::WrongKeyCount {
-                expected: self.shape().len(),
-                got: keys.len(),
-            });
-        }
+        scratch: &mut ExecScratch<K>,
+    ) -> (FaultReport, Option<FaultError>) {
         let _sort_span = self.logger.span(Tier::Fault, Stage::Sort, SpanClass::None);
-        let (report, failed) = exec_with_faults(self.shape(), keys, program, plan, policy);
-        self.emit_fault_events(&report, None);
-        match failed {
-            None => Ok(report),
-            Some((round, attempts)) => Err(FaultError::RetryExhausted { round, attempts }),
-        }
+        let (report, failed) =
+            exec_kernel_with_faults(self.shape(), keys, kernel, plan, policy, scratch);
+        self.emit_fault_events(&report);
+        let error = failed.map(|(round, attempts)| FaultError::RetryExhausted { round, attempts });
+        (report, error)
     }
 
-    /// [`BspMachine::run_with_faults`] on the kernel tier: execute a
-    /// lowered program under `plan` with the same segmentation,
-    /// checkpoints, certificate checks, and probe seeds as the
-    /// interpreter path. Fault sites are keyed by `(round, op)` indices,
-    /// which lowering preserves, so the same `plan` makes the same
-    /// decisions on either path — reports and outputs are bit-identical
-    /// to [`BspMachine::run_with_faults`] on the source program.
+    /// Execute a lowered program on `keys` under `plan`, detecting
+    /// corruption at the program's certificate boundaries and retrying
+    /// failed segments from checkpoints per `policy`. Fault sites are
+    /// keyed by `(round, op)` indices, which lowering preserves, so a
+    /// plan names the same sites in the source program.
+    ///
+    /// On `Ok`, every certificate passed: `keys` equals the output of a
+    /// clean [`BspMachine::run`]. On [`FaultError::RetryExhausted`],
+    /// `keys` holds the corrupted state of the last attempt (callers
+    /// wanting a sorted result anyway should re-run clean — the batch
+    /// ladder in [`crate::batch`] does this).
     ///
     /// The kernel is already validated (lowering validates), so the only
     /// input check left is the key count. With a disabled plan this is
@@ -650,7 +524,7 @@ impl BspMachine {
     /// # Errors
     ///
     /// [`FaultError::WrongKeyCount`] if `keys` is not one per node,
-    /// [`FaultError::RetryExhausted`] as on the interpreter path.
+    /// [`FaultError::RetryExhausted`] as above.
     ///
     /// # Panics
     ///
@@ -674,115 +548,10 @@ impl BspMachine {
                 got: keys.len(),
             });
         }
-        let _sort_span = self.logger.span(Tier::Fault, Stage::Sort, SpanClass::None);
-        let (report, failed) =
-            exec_kernel_with_faults(self.shape(), keys, kernel, plan, policy, scratch);
-        self.emit_fault_events(&report, None);
-        match failed {
-            None => Ok(report),
-            Some((round, attempts)) => Err(FaultError::RetryExhausted { round, attempts }),
+        match self.fault_attempt(keys, kernel, plan, policy, scratch) {
+            (report, None) => Ok(report),
+            (_, Some(error)) => Err(error),
         }
-    }
-
-    /// Drive a batch of independent key vectors through one compiled
-    /// program under fault injection, one worker per vector, each lane
-    /// using `plan.fork(lane)` so lanes fault independently.
-    ///
-    /// Degrades gracefully instead of failing the batch: a lane that
-    /// exhausts its retries is *quarantined* — restored to its original
-    /// input and re-run serially without injection — so every `Ok` lane
-    /// ends snake-sorted regardless. Per-lane errors are only the
-    /// non-recoverable kinds (wrong key count). An invalid program fails
-    /// every lane without executing anything. Never panics on any input.
-    pub fn run_batch_with_faults<K>(
-        &self,
-        batch: &mut [Vec<K>],
-        program: &CompiledProgram,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-    ) -> Vec<Result<FaultReport, FaultError>>
-    where
-        K: Ord + Clone + Send + Sync,
-    {
-        if let Err(e) = self.try_validate(program) {
-            return batch
-                .iter()
-                .map(|_| Err(FaultError::Invalid(e.clone())))
-                .collect();
-        }
-        let _batch_span = self.logger.span(Tier::Fault, Stage::Batch, SpanClass::None);
-        self.logger.log(|| Event::BatchScheduled {
-            batch: batch.len() as u64,
-            // A batch smaller than the worker pool occupies one lane per
-            // vector, not one per thread.
-            lanes: batch.len().min(rayon::current_num_threads()) as u64,
-        });
-        let shape = self.shape();
-        let expected = shape.len();
-        let run_lane = |lane: u64, keys: &mut Vec<K>| -> Result<FaultReport, FaultError> {
-            if keys.len() as u64 != expected {
-                return Err(FaultError::WrongKeyCount {
-                    expected,
-                    got: keys.len(),
-                });
-            }
-            let lane_plan = plan.fork(lane);
-            // Keep the pristine input around for the quarantine path.
-            let original: Option<Vec<K>> = lane_plan.is_enabled().then(|| keys.clone());
-            let (mut report, failed) = exec_with_faults(shape, keys, program, &lane_plan, policy);
-            if failed.is_some() {
-                // Quarantine: everything executed so far is discarded;
-                // re-run clean and serial from the original input. Only
-                // an enabled plan can fail, so the original was kept;
-                // should that invariant ever break, the clean re-run
-                // still sorts whatever state the lane is in (the
-                // program is a sorting network) instead of panicking.
-                if let Some(original) = original {
-                    keys.clear();
-                    keys.extend(original);
-                }
-                exec_program(keys, program);
-                report.counters.wasted_rounds += report.counters.useful_rounds;
-                report.counters.useful_rounds = program.rounds() as u64;
-                report.rounds = report.counters.total_rounds();
-                report.quarantined = true;
-            }
-            Ok(report)
-        };
-        let mut slots: Vec<LaneSlot<'_, K>> = batch
-            .iter_mut()
-            .enumerate()
-            .map(|(i, keys)| LaneSlot {
-                lane: i as u64,
-                keys,
-                outcome: None,
-            })
-            .collect();
-        if slots.len() <= 1 {
-            for slot in &mut slots {
-                slot.outcome = Some(run_lane(slot.lane, slot.keys));
-            }
-        } else {
-            use rayon::prelude::*;
-            slots
-                .par_iter_mut()
-                .for_each(|slot| slot.outcome = Some(run_lane(slot.lane, slot.keys)));
-        }
-        let results: Vec<Result<FaultReport, FaultError>> = slots
-            .into_iter()
-            .map(|slot| {
-                slot.outcome
-                    .unwrap_or(Err(FaultError::Internal("batch lane produced no outcome")))
-            })
-            .collect();
-        // The logger's buffers are thread-local, so lane events are
-        // replayed here, after the join, from the calling thread.
-        for (lane, res) in results.iter().enumerate() {
-            if let Ok(report) = res {
-                self.emit_fault_events(report, Some(lane as u64));
-            }
-        }
-        results
     }
 }
 
@@ -790,7 +559,6 @@ impl BspMachine {
 mod tests {
     use super::*;
     use crate::bsp::compile;
-    use crate::netsort::is_snake_sorted;
     use crate::sorters::OetSnakeSorter;
     use pns_graph::factories;
 
@@ -808,28 +576,43 @@ mod tests {
             .collect()
     }
 
-    fn setup(r: usize) -> (BspMachine, CompiledProgram) {
-        let factor = factories::path(3);
-        let program = compile(&factor, r, &OetSnakeSorter);
-        let machine = BspMachine::new(&factor, r);
-        (machine, program)
+    /// A machine over `factor^r`, the compiled program, and its kernel.
+    fn setup_on(
+        factor: &pns_graph::Graph,
+        r: usize,
+    ) -> (BspMachine, crate::CompiledProgram, KernelProgram) {
+        let program = compile(factor, r, &OetSnakeSorter);
+        let machine = BspMachine::new(factor, r);
+        let kernel = machine.lower(&program).expect("compiled programs validate");
+        (machine, program, kernel)
+    }
+
+    fn setup(r: usize) -> (BspMachine, crate::CompiledProgram, KernelProgram) {
+        setup_on(&factories::path(3), r)
+    }
+
+    /// The clean interpreter's output: what every `Ok` must equal.
+    fn clean(machine: &BspMachine, program: &crate::CompiledProgram, keys: &[u64]) -> Vec<u64> {
+        let mut out = keys.to_vec();
+        machine.run(&mut out, program);
+        out
     }
 
     #[test]
     fn disabled_plan_matches_plain_run_exactly() {
-        let (machine, program) = setup(3);
+        let (machine, program, kernel) = setup(3);
         let plan = FaultPlan::disabled();
         let policy = RetryPolicy::default();
+        let mut scratch = ExecScratch::new();
         for seed in [1u64, 7, 99] {
             let keys = lcg_keys(machine.shape().len(), seed);
-            let mut plain = keys.clone();
-            let mut faulty = keys;
-            machine.run(&mut plain, &program);
+            let mut faulty = keys.clone();
             let report = machine
-                .run_with_faults(&mut faulty, &program, &plan, &policy)
+                .run_kernel_with_faults(&mut faulty, &kernel, &plan, &policy, &mut scratch)
                 .expect("disabled plan cannot fail");
-            assert_eq!(plain, faulty);
+            assert_eq!(clean(&machine, &program, &keys), faulty);
             assert_eq!(report.rounds as usize, program.rounds());
+            assert_eq!(report.attempts, 1);
             assert!(report.injected.is_empty());
             assert!(report.detections.is_empty());
             assert!(report.retries.is_empty());
@@ -840,14 +623,15 @@ mod tests {
 
     #[test]
     fn wrong_key_count_is_a_typed_error() {
-        let (machine, program) = setup(2);
+        let (machine, _, kernel) = setup(2);
         let mut keys = vec![1u64; 3];
         let err = machine
-            .run_with_faults(
+            .run_kernel_with_faults(
                 &mut keys,
-                &program,
+                &kernel,
                 &FaultPlan::disabled(),
                 &RetryPolicy::default(),
+                &mut ExecScratch::new(),
             )
             .unwrap_err();
         assert_eq!(
@@ -861,18 +645,21 @@ mod tests {
 
     #[test]
     fn injected_faults_are_detected_and_repaired() {
-        let (machine, program) = setup(3);
+        let (machine, program, kernel) = setup(3);
         let policy = RetryPolicy::default();
+        let mut scratch = ExecScratch::new();
         let mut repaired = 0u32;
         for seed in 0..40u64 {
             let plan = FaultPlan::random(seed, 2_000); // 0.2% of sites
-            let mut keys = lcg_keys(machine.shape().len(), seed + 1);
+            let input = lcg_keys(machine.shape().len(), seed + 1);
+            let mut keys = input.clone();
             let report = machine
-                .run_with_faults(&mut keys, &program, &plan, &policy)
+                .run_kernel_with_faults(&mut keys, &kernel, &plan, &policy, &mut scratch)
                 .expect("default policy repairs sparse transients");
-            assert!(
-                is_snake_sorted(machine.shape(), &keys),
-                "seed {seed}: Ok must imply sorted"
+            assert_eq!(
+                keys,
+                clean(&machine, &program, &input),
+                "seed {seed}: Ok must equal the clean run"
             );
             assert_eq!(report.rounds, report.counters.total_rounds());
             if !report.injected.is_empty() {
@@ -892,9 +679,11 @@ mod tests {
     fn single_flip_is_harmless_or_detected_by_certificates() {
         // detect_only: no retries, so a detected fault surfaces as
         // RetryExhausted; an undetected one must be harmless.
-        let (machine, program) = setup(2);
+        let (machine, program, kernel) = setup(2);
         let policy = RetryPolicy::detect_only();
         let keys = lcg_keys(machine.shape().len(), 11);
+        let want = clean(&machine, &program, &keys);
+        let mut scratch = ExecScratch::new();
         for (ri, round) in program.round_ops().iter().enumerate() {
             for (oi, op) in round.iter().enumerate() {
                 if !matches!(op, Op::CompareExchange { .. }) {
@@ -906,11 +695,9 @@ mod tests {
                 };
                 let plan = FaultPlan::single(FaultKind::FlipCompare, site);
                 let mut k = keys.clone();
-                match machine.run_with_faults(&mut k, &program, &plan, &policy) {
-                    Ok(_) => assert!(
-                        is_snake_sorted(machine.shape(), &k),
-                        "undetected flip at {site:?} must be harmless"
-                    ),
+                match machine.run_kernel_with_faults(&mut k, &kernel, &plan, &policy, &mut scratch)
+                {
+                    Ok(_) => assert_eq!(k, want, "undetected flip at {site:?} must be harmless"),
                     Err(FaultError::RetryExhausted { .. }) => {}
                     Err(other) => panic!("unexpected error at {site:?}: {other}"),
                 }
@@ -919,179 +706,69 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_route_that_duplicates_a_key_is_detected() {
+        // star(4)^2 relays every row exchange through the hub. Dropping
+        // the first move of round 1 latches a stale copy of the
+        // receiver's key, so one key appears twice and another is
+        // gone; the duplicate lands in sorted position, where the snake
+        // certificate alone cannot see it. The multiset certificate
+        // must catch it, and the default policy must then repair it.
+        let (machine, program, kernel) = setup_on(&factories::star(4), 2);
+        let keys: Vec<u64> = (0..16).rev().collect();
+        let want = clean(&machine, &program, &keys);
+        let plan = FaultPlan::single(FaultKind::DropRoute, FaultSite { round: 1, op: 0 });
+        let mut scratch = ExecScratch::new();
+
+        let mut detected = keys.clone();
+        let err = machine
+            .run_kernel_with_faults(
+                &mut detected,
+                &kernel,
+                &plan,
+                &RetryPolicy::detect_only(),
+                &mut scratch,
+            )
+            .expect_err("the lost key must not go unnoticed");
+        assert!(matches!(err, FaultError::RetryExhausted { .. }));
+
+        let mut repaired = keys;
+        let report = machine
+            .run_kernel_with_faults(
+                &mut repaired,
+                &kernel,
+                &plan,
+                &RetryPolicy::default(),
+                &mut scratch,
+            )
+            .expect("one transient is repaired");
+        assert_eq!(report.injected.len(), 1);
+        assert!(!report.detections.is_empty());
+        assert_eq!(repaired, want, "Ok must equal the clean run");
+    }
+
+    #[test]
     fn sampled_rechecks_still_end_sorted() {
-        let (machine, program) = setup(3);
+        let (machine, program, kernel) = setup(3);
         let policy = RetryPolicy {
             max_retries: 5,
             recheck_depth: 4,
             ..RetryPolicy::default()
         };
+        let mut scratch = ExecScratch::new();
         for seed in 0..20u64 {
             let plan = FaultPlan::random(seed, 3_000);
-            let mut keys = lcg_keys(machine.shape().len(), seed * 3 + 2);
+            let input = lcg_keys(machine.shape().len(), seed * 3 + 2);
+            let mut keys = input.clone();
             // A sampled intermediate check may miss corruption, but the
             // final full check catches it, and the last segment's
             // checkpoint restores enough to repair (the fault already
             // fired, so the retry is clean).
             if machine
-                .run_with_faults(&mut keys, &program, &plan, &policy)
+                .run_kernel_with_faults(&mut keys, &kernel, &plan, &policy, &mut scratch)
                 .is_ok()
             {
-                assert!(is_snake_sorted(machine.shape(), &keys), "seed {seed}");
+                assert_eq!(keys, clean(&machine, &program, &input), "seed {seed}");
             }
         }
-    }
-
-    #[test]
-    fn batch_quarantines_exhausted_lanes_and_sorts_everything() {
-        let (machine, program) = setup(2);
-        // detect_only exhausts on the first detection, forcing the
-        // quarantine path for any lane whose faults corrupt the output.
-        let policy = RetryPolicy::detect_only();
-        let plan = FaultPlan::random(5, 20_000); // 2% of sites
-        let mut batch: Vec<Vec<u64>> = (0..12)
-            .map(|i| lcg_keys(machine.shape().len(), i * 13 + 1))
-            .collect();
-        let results = machine.run_batch_with_faults(&mut batch, &program, &plan, &policy);
-        assert_eq!(results.len(), batch.len());
-        let mut quarantined = 0;
-        for (lane, res) in results.iter().enumerate() {
-            let report = res.as_ref().expect("lanes degrade, they do not fail");
-            assert!(
-                is_snake_sorted(machine.shape(), &batch[lane]),
-                "lane {lane} must end sorted"
-            );
-            if report.quarantined {
-                quarantined += 1;
-                assert_eq!(report.counters.useful_rounds as usize, program.rounds());
-                assert!(report.counters.wasted_rounds > 0);
-            }
-        }
-        assert!(
-            quarantined > 0,
-            "2% of sites with no retries must quarantine some lane"
-        );
-    }
-
-    #[test]
-    fn batch_reports_wrong_length_lanes_without_failing_others() {
-        let (machine, program) = setup(2);
-        let n = machine.shape().len();
-        let mut batch: Vec<Vec<u64>> = vec![lcg_keys(n, 1), vec![9, 9, 9], lcg_keys(n, 2)];
-        let results = machine.run_batch_with_faults(
-            &mut batch,
-            &program,
-            &FaultPlan::random(1, 1_000),
-            &RetryPolicy::default(),
-        );
-        assert!(results[0].is_ok());
-        assert_eq!(
-            results[1],
-            Err(FaultError::WrongKeyCount {
-                expected: n,
-                got: 3
-            })
-        );
-        assert!(results[2].is_ok());
-        assert!(is_snake_sorted(machine.shape(), &batch[0]));
-        assert!(is_snake_sorted(machine.shape(), &batch[2]));
-    }
-
-    #[test]
-    fn invalid_program_fails_every_lane_without_executing() {
-        let (machine, _) = setup(2);
-        let bogus = CompiledProgram::from_rounds(
-            machine.shape(),
-            vec![vec![Op::CompareExchange {
-                a: 0,
-                b: machine.shape().len() - 1, // not an edge on path(3)^2
-                min_to_a: true,
-            }]],
-        );
-        let mut batch: Vec<Vec<u64>> = (0..3)
-            .map(|i| lcg_keys(machine.shape().len(), i + 1))
-            .collect();
-        let before = batch.clone();
-        let results = machine.run_batch_with_faults(
-            &mut batch,
-            &bogus,
-            &FaultPlan::disabled(),
-            &RetryPolicy::default(),
-        );
-        assert!(results
-            .iter()
-            .all(|r| matches!(r, Err(FaultError::Invalid(_)))));
-        assert_eq!(batch, before, "nothing may execute");
-    }
-
-    #[test]
-    fn kernel_fault_path_matches_interpreter_bit_for_bit() {
-        let (machine, program) = setup(3);
-        let kernel = machine.lower(&program).expect("compiled programs validate");
-        let mut scratch = ExecScratch::new();
-        // Default policy (repairs) and detect_only (surfaces errors):
-        // reports, errors, and final keys must all agree exactly.
-        for policy in [RetryPolicy::default(), RetryPolicy::detect_only()] {
-            for seed in 0..20u64 {
-                let plan = FaultPlan::random(seed, 5_000);
-                let keys = lcg_keys(machine.shape().len(), seed + 3);
-                let mut interp = keys.clone();
-                let mut lowered = keys;
-                let ra = machine.run_with_faults(&mut interp, &program, &plan, &policy);
-                let rb = machine.run_kernel_with_faults(
-                    &mut lowered,
-                    &kernel,
-                    &plan,
-                    &policy,
-                    &mut scratch,
-                );
-                assert_eq!(ra, rb, "seed {seed}: same plan, same report");
-                assert_eq!(interp, lowered, "seed {seed}: same plan, same keys");
-            }
-        }
-    }
-
-    #[test]
-    fn fault_runs_emit_observability_events() {
-        let factor = factories::path(3);
-        let program = compile(&factor, 2, &OetSnakeSorter);
-        let mut machine = BspMachine::new(&factor, 2);
-        let (sink, reader) = pns_obs::MemorySink::with_capacity(1 << 16);
-        machine.attach_logger(pns_obs::EventLogger::new(Box::new(sink)));
-        let plan = FaultPlan::random(5, 20_000);
-        let policy = RetryPolicy::detect_only();
-        let mut batch: Vec<Vec<u64>> = (0..12)
-            .map(|i| lcg_keys(machine.shape().len(), i * 13 + 1))
-            .collect();
-        let results = machine.run_batch_with_faults(&mut batch, &program, &plan, &policy);
-        machine.logger.flush();
-        let events: Vec<Event> = reader.events().into_iter().map(|t| t.event).collect();
-        let injected: usize = results
-            .iter()
-            .filter_map(|r| r.as_ref().ok())
-            .map(|r| r.injected.len())
-            .sum();
-        let quarantined: usize = results
-            .iter()
-            .filter_map(|r| r.as_ref().ok())
-            .filter(|r| r.quarantined)
-            .count();
-        assert_eq!(
-            events
-                .iter()
-                .filter(|e| matches!(e, Event::FaultInjected { .. }))
-                .count(),
-            injected
-        );
-        assert_eq!(
-            events
-                .iter()
-                .filter(|e| matches!(e, Event::LaneQuarantined { .. }))
-                .count(),
-            quarantined
-        );
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, Event::BatchScheduled { .. })));
     }
 }

@@ -29,28 +29,13 @@
 //! (`tests/kernel_alloc.rs`).
 //!
 //! Lowering happens after static validation ([`BspMachine::lower`]), so
-//! the kernels run unchecked, like `run_parallel` after `validate` —
-//! but validation is paid once per program, not once per run.
-//!
-//! The intra-round parallel path ([`BspMachine::run_kernel_parallel`])
-//! replaces the interpreter's `par_iter().map().collect::<Vec<Action>>()`
-//! (one allocation per parallel round, plus one heap-allocated action
-//! list) with chunked execution over disjoint pair ranges: worker
-//! threads write swap decisions into a reusable `u64` bitmask, and the
-//! swaps commit serially — bit-identical to serial order because
-//! validated compare rounds touch each key at most once.
+//! the kernels run unchecked: validation is paid once per program, not
+//! once per run.
 
 use pns_obs::{Event, SpanClass, Stage, Tier, ROUND_OBS_MIN_OPS, SORT_OBS_MIN_OPS};
 use pns_order::radix::Shape;
 
 use crate::bsp::{BspMachine, CertPoint, CompiledProgram, Op, ProgramError};
-
-/// Minimum compare-pairs in a round before
-/// [`BspMachine::run_kernel_parallel`] splits it across threads. The
-/// vendored `rayon` spawns OS threads per call, so intra-round
-/// parallelism only pays for very large rounds; below this, the serial
-/// kernel wins.
-pub const KERNEL_PAR_THRESHOLD: usize = 8192;
 
 /// What a lowered round contains, so dispatch is one `match` per round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -352,8 +337,8 @@ impl KernelProgram {
     }
 }
 
-/// Reusable execution state for the kernel tier: transit slots, the
-/// deferred incoming queue, and the parallel path's swap bitmask. One
+/// Reusable execution state for the kernel tier: transit slots and the
+/// deferred incoming queue. One
 /// scratch serves one key vector at a time; create it once and reuse it
 /// across runs — after the first run sizes the buffers, every later
 /// [`BspMachine::run_kernel`] call performs zero heap allocations.
@@ -361,7 +346,6 @@ impl KernelProgram {
 pub struct ExecScratch<K> {
     pub(crate) transit: Vec<[Option<K>; 2]>,
     pub(crate) incoming: Vec<(u32, u8, K)>,
-    pub(crate) swap_words: Vec<u64>,
 }
 
 impl<K> ExecScratch<K> {
@@ -371,7 +355,6 @@ impl<K> ExecScratch<K> {
         ExecScratch {
             transit: Vec::new(),
             incoming: Vec::new(),
-            swap_words: Vec::new(),
         }
     }
 
@@ -487,8 +470,8 @@ fn exec_route_round<K: Ord + Clone>(
     }
 }
 
-/// One kernel round, serial, unlogged — shared by the serial runner,
-/// batch lanes, and the small-round path of the parallel runner.
+/// One kernel round, serial, unlogged — shared by the serial runner
+/// and batch lanes.
 #[inline]
 pub(crate) fn exec_kernel_round<K: Ord + Clone>(
     keys: &mut [K],
@@ -521,64 +504,10 @@ pub(crate) fn exec_kernel<K: Ord + Clone>(
     }
 }
 
-/// One compare round with its decision phase split across threads:
-/// disjoint 64-pair-aligned chunks of the swap bitmask are filled by
-/// workers reading the immutable start-of-round keys, then the swaps
-/// commit serially. Validated compare rounds touch each key at most
-/// once, so start-of-round decisions equal in-order serial decisions —
-/// bit-identical to [`exec_compare_round`].
-fn exec_compare_round_chunked<K: Ord + Send + Sync>(
-    keys: &mut [K],
-    kernel: &KernelProgram,
-    desc: RoundDesc,
-    words: &mut Vec<u64>,
-    threads: usize,
-) {
-    let start = desc.start as usize;
-    let n_pairs = (desc.end - desc.start) as usize;
-    let n_words = n_pairs.div_ceil(64);
-    words.clear();
-    words.resize(n_words, 0);
-    let words_per_chunk = n_words.div_ceil(threads.max(1)).max(1);
-    {
-        let keys_ref: &[K] = keys;
-        std::thread::scope(|s| {
-            for (ci, chunk) in words.chunks_mut(words_per_chunk).enumerate() {
-                let wbase = ci * words_per_chunk;
-                s.spawn(move || {
-                    for (wi, w) in chunk.iter_mut().enumerate() {
-                        let pair_base = (wbase + wi) * 64;
-                        let in_word = 64.min(n_pairs - pair_base);
-                        let mut bits = 0u64;
-                        for j in 0..in_word {
-                            let gi = start + pair_base + j;
-                            let (a, b) = kernel.cx_pairs[gi];
-                            if (keys_ref[a as usize] <= keys_ref[b as usize]) != kernel.dir(gi) {
-                                bits |= 1u64 << j;
-                            }
-                        }
-                        *w = bits;
-                    }
-                });
-            }
-        });
-    }
-    for (wi, &word) in words.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            let j = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let (a, b) = kernel.cx_pairs[start + wi * 64 + j];
-            keys.swap(a as usize, b as usize);
-        }
-    }
-}
-
 impl BspMachine {
     /// Validate `program` against this machine, then lower it to a
     /// [`KernelProgram`]. The kernels then run unchecked — validation is
-    /// paid once per program instead of once per run (`run_parallel`
-    /// re-validates on every call).
+    /// paid once per program instead of once per run.
     ///
     /// # Errors
     ///
@@ -638,7 +567,6 @@ impl BspMachine {
                 self.logger.log(|| Event::RoundStart {
                     round: ri as u64,
                     ops: kernel.round_len(ri) as u64,
-                    parallel: false,
                 });
             }
             let _round_span = self.logger.span_if(
@@ -659,91 +587,6 @@ impl BspMachine {
                 .all(|t| t[0].is_none() && t[1].is_none()),
             "transit values left in flight after the program ended"
         );
-        kernel.rounds.len() as u64
-    }
-
-    /// As [`BspMachine::run_kernel`], with compare rounds of at least
-    /// [`KERNEL_PAR_THRESHOLD`] pairs split across threads (chunked
-    /// bitmask decision phase + serial commit). Route and small rounds
-    /// run serially. Bit-identical to the serial kernel on every input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kernel was lowered for another shape or `keys` is
-    /// not one per node.
-    pub fn run_kernel_parallel<K>(
-        &self,
-        keys: &mut [K],
-        kernel: &KernelProgram,
-        scratch: &mut ExecScratch<K>,
-    ) -> u64
-    where
-        K: Ord + Clone + Send + Sync,
-    {
-        self.run_kernel_parallel_threshold(keys, kernel, scratch, KERNEL_PAR_THRESHOLD)
-    }
-
-    /// [`BspMachine::run_kernel_parallel`] with an explicit serial
-    /// fallback threshold (compare rounds with fewer pairs run serially).
-    /// Exposed so tests and benchmarks can force the chunked path on
-    /// small rounds; the default threshold is tuned for the vendored
-    /// thread-per-call `rayon` stub.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kernel was lowered for another shape or `keys` is
-    /// not one per node.
-    pub fn run_kernel_parallel_threshold<K>(
-        &self,
-        keys: &mut [K],
-        kernel: &KernelProgram,
-        scratch: &mut ExecScratch<K>,
-        threshold: usize,
-    ) -> u64
-    where
-        K: Ord + Clone + Send + Sync,
-    {
-        assert_eq!(
-            kernel.shape,
-            self.shape(),
-            "kernel lowered for another shape"
-        );
-        assert_eq!(keys.len() as u64, self.shape().len(), "one key per node");
-        let _sort_span = self.logger.span_if(
-            kernel.total_ops() >= SORT_OBS_MIN_OPS,
-            Tier::Kernel,
-            Stage::Sort,
-            SpanClass::None,
-        );
-        let threads = rayon::current_num_threads();
-        scratch.reset(keys.len());
-        for (ri, desc) in kernel.rounds.iter().enumerate() {
-            let par = desc.class == RoundClass::Compare
-                && (desc.end - desc.start) as usize >= threshold.max(1)
-                && threads > 1;
-            let observed = kernel.round_len(ri) >= ROUND_OBS_MIN_OPS;
-            if observed {
-                self.logger.log(|| Event::RoundStart {
-                    round: ri as u64,
-                    ops: kernel.round_len(ri) as u64,
-                    parallel: par,
-                });
-            }
-            let _round_span = self.logger.span_if(
-                observed,
-                Tier::Kernel,
-                Stage::Round,
-                desc.class.span_class(),
-            );
-            if par {
-                exec_compare_round_chunked(keys, kernel, *desc, &mut scratch.swap_words, threads);
-            } else {
-                exec_kernel_round(keys, kernel, ri, scratch);
-            }
-            if observed {
-                self.logger.log(|| Event::RoundEnd { round: ri as u64 });
-            }
-        }
         kernel.rounds.len() as u64
     }
 
@@ -917,9 +760,6 @@ mod tests {
                 let rounds = bsp.run_kernel(&mut got, &kernel, &mut scratch);
                 assert_eq!(got, want, "{} seed {seed}", factor.name());
                 assert_eq!(rounds as usize, program.rounds());
-                let mut par = input.clone();
-                bsp.run_kernel_parallel_threshold(&mut par, &kernel, &mut scratch, 1);
-                assert_eq!(par, want, "{} seed {seed} chunked", factor.name());
             }
         }
     }

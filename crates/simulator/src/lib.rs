@@ -17,6 +17,14 @@
 //!   happened, with every compare-exchange checked against the network's
 //!   edge set. This demonstrates end-to-end realizability.
 //!
+//! Compiled programs run on four executors: the validating reference
+//! interpreter ([`BspMachine::run`]), the flat kernel
+//! ([`BspMachine::run_kernel`] and [`BspMachine::run_kernel_batch`]), the
+//! kernel fault executor ([`BspMachine::run_kernel_with_faults`]), and
+//! the bit-sliced vertical tier ([`BspMachine::run_vertical_bits`] and
+//! [`BspMachine::run_vertical_batch`]). One dispatcher ([`batch::run`])
+//! picks among them for every batch.
+//!
 //! [`machine::Machine`] is the user-facing entry point.
 //!
 //! # Layout of data
@@ -25,6 +33,7 @@
 //! the node label). "Sorted" means sorted in *snake order* (Definition 2):
 //! reading nodes in snake order yields a nondecreasing sequence.
 
+pub mod batch;
 pub mod block;
 pub mod bsp;
 pub mod cache;
@@ -41,6 +50,7 @@ pub mod sorters;
 pub mod verify;
 pub mod vertical;
 
+pub use batch::{BatchPools, BatchRun, Ladder};
 pub use block::{block_sort, BlockEngine, SortedBlock};
 pub use bsp::{
     compile, BspMachine, CertPoint, CompiledProgram, Op, ProgramError, ProgramStats,
@@ -50,7 +60,7 @@ pub use cache::{fingerprint, CacheStats, ProgramCache, ProgramKey};
 pub use cost::CostModel;
 pub use engine::{ChargedEngine, Engine, ExecutedEngine, Pg2Instance, PAR_THRESHOLD};
 pub use fault::{Detection, FaultError, FaultReport, InjectedFault, Retry};
-pub use kernel::{ExecScratch, KernelProgram, RoundClass, ScratchPool, KERNEL_PAR_THRESHOLD};
+pub use kernel::{ExecScratch, KernelProgram, RoundClass, ScratchPool};
 // The fault plan/policy vocabulary is re-exported so executor callers
 // need not depend on `pns-fault` directly.
 pub use machine::{Machine, SortError, SortReport};

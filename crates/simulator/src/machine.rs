@@ -1,15 +1,17 @@
 //! User-facing entry point: build a machine over a factor graph, feed it
 //! keys, get back a sorted configuration and a step report.
 
+use crate::batch::{BatchPools, Ladder};
 use crate::bsp::{BspMachine, CompiledProgram};
 use crate::cache::ProgramCache;
 use crate::cost::CostModel;
 use crate::engine::{ChargedEngine, ExecutedEngine};
-use crate::kernel::{ExecScratch, KernelProgram, ScratchPool};
+use crate::fault::{FaultError, FaultReport};
+use crate::kernel::{ExecScratch, KernelProgram};
 use crate::netsort::{is_snake_sorted, network_sort, read_snake_order, NetSortOutcome};
 use crate::select::SorterChoice;
 use crate::sorters::Pg2Sorter;
-use crate::vertical::{VerticalPool, VerticalProgram, VERTICAL_MIN_LANES};
+use crate::vertical::VerticalProgram;
 use pns_graph::{Graph, LinearEmbedding};
 use pns_obs::{Event, EventLogger};
 use pns_order::radix::Shape;
@@ -171,12 +173,11 @@ impl Machine {
     /// both — no recompilation, no re-lowering, observable via the
     /// cache's hit counters.
     ///
-    /// Sorts run through [`BspMachine::run_kernel_parallel`]; batches
-    /// ([`Machine::sort_batch`]) run through
-    /// [`BspMachine::run_kernel_batch`], or through the bit-sliced
-    /// vertical tier ([`BspMachine::run_vertical_batch`]) once the
-    /// batch reaches [`VERTICAL_MIN_LANES`] lanes. All are bit-identical
-    /// to serial BSP execution.
+    /// Sorts run through [`BspMachine::run_kernel`]; batches
+    /// ([`Machine::sort_batch`]) go through the batch dispatcher
+    /// ([`crate::batch::run`]), which picks the kernel or the bit-sliced
+    /// vertical tier by batch size. All are bit-identical to serial BSP
+    /// execution.
     #[must_use]
     pub fn compiled(
         factor: &Graph,
@@ -406,8 +407,7 @@ impl Machine {
             }
             (EngineKind::Compiled(c), checked) => {
                 let mut scratch = ExecScratch::new();
-                c.bsp
-                    .run_kernel_parallel(&mut keys, &c.kernel, &mut scratch);
+                c.bsp.run_kernel(&mut keys, &c.kernel, &mut scratch);
                 // The per-stage invariant of `network_sort_checked` does
                 // not survive lowering; checked mode verifies the final
                 // configuration instead.
@@ -430,13 +430,12 @@ impl Machine {
     /// Sort many independent key vectors through this machine, returning
     /// one `Result` per lane in input order.
     ///
-    /// On a compiled machine ([`Machine::compiled`]) the valid lanes run
-    /// through one lowered kernel with one thread per vector
-    /// ([`BspMachine::run_kernel_batch`]); batches of at least
-    /// [`VERTICAL_MIN_LANES`] valid lanes switch to the bit-sliced
-    /// vertical tier ([`BspMachine::run_vertical_batch`]), which blocks
-    /// 64 lanes to a word. Other engine kinds sort the vectors one
-    /// after another; results are identical on every path.
+    /// On a compiled machine ([`Machine::compiled`]) the lanes go
+    /// through the batch dispatcher ([`crate::batch::run`]): the kernel
+    /// batch, or the bit-sliced vertical tier once the batch reaches
+    /// [`crate::VERTICAL_MIN_LANES`] valid lanes. Other engine kinds
+    /// sort the vectors one after another; results are identical on
+    /// every path.
     ///
     /// A lane whose vector is not one key per node reports
     /// [`SortError::WrongKeyCount`] without affecting the other lanes —
@@ -445,61 +444,71 @@ impl Machine {
     where
         K: Ord + Clone + Send + Sync,
     {
-        match &mut self.engine {
-            EngineKind::Compiled(c) => {
-                let expected = self.shape.len();
-                // Partition out the malformed lanes, keeping slots so the
-                // results come back in input order.
-                let mut good: Vec<Vec<K>> = Vec::with_capacity(batch.len());
-                let mut slots: Vec<Result<(), SortError>> = Vec::with_capacity(batch.len());
-                for keys in batch {
-                    if keys.len() as u64 == expected {
-                        slots.push(Ok(()));
-                        good.push(keys);
-                    } else {
-                        slots.push(Err(SortError::WrongKeyCount {
-                            expected,
-                            got: keys.len(),
-                        }));
-                    }
+        self.sort_batch_under(batch, &Ladder::clean())
+            .into_iter()
+            .map(|lane| lane.map(|(report, _)| report))
+            .collect()
+    }
+
+    /// As [`Machine::sort_batch`], under `ladder`'s fault plan and
+    /// retry ladder (lane `i` forks the plan with `i`), returning each
+    /// lane's [`FaultReport`] next to its sort report. Charged and
+    /// executed machines inject nothing: their lanes sort clean.
+    pub fn sort_batch_under<K>(
+        &mut self,
+        mut batch: Vec<Vec<K>>,
+        ladder: &Ladder,
+    ) -> Vec<Result<(SortReport<K>, FaultReport), SortError>>
+    where
+        K: Ord + Clone + Send + Sync,
+    {
+        let EngineKind::Compiled(c) = &self.engine else {
+            return batch
+                .into_iter()
+                .map(|keys| {
+                    let faults = FaultReport {
+                        attempts: 1,
+                        ..FaultReport::default()
+                    };
+                    self.sort(keys).map(|report| (report, faults))
+                })
+                .collect();
+        };
+        let mut pools = BatchPools::new();
+        let run = crate::batch::run(
+            &c.bsp,
+            &c.vertical,
+            &mut batch,
+            |i| i as u64,
+            ladder,
+            &mut pools,
+        );
+        // Every sorted vector is charged the full logical unit cost, so
+        // the aggregated events cover the whole batch (= the sum of the
+        // returned reports' counters).
+        c.emit_units(run.lanes.iter().filter(|lane| lane.is_ok()).count() as u64);
+        let outcome = c.outcome();
+        run.lanes
+            .into_iter()
+            .zip(batch)
+            .map(|(lane, keys)| match lane {
+                Ok(faults) => Ok((
+                    SortReport {
+                        shape: self.shape,
+                        factor_name: self.factor_name.clone(),
+                        keys,
+                        outcome,
+                    },
+                    faults,
+                )),
+                Err(FaultError::WrongKeyCount { expected, got }) => {
+                    Err(SortError::WrongKeyCount { expected, got })
                 }
-                if !good.is_empty() {
-                    if good.len() >= VERTICAL_MIN_LANES {
-                        let mut pool = VerticalPool::new();
-                        c.bsp.run_vertical_batch(&mut good, &c.vertical, &mut pool);
-                    } else {
-                        let mut pool = ScratchPool::new();
-                        c.bsp.run_kernel_batch(&mut good, &c.kernel, &mut pool);
-                    }
-                    // Every vector is charged the full logical unit cost,
-                    // so the aggregated events cover the whole batch (=
-                    // the sum of the returned reports' counters).
-                    c.emit_units(good.len() as u64);
-                }
-                let outcome = c.outcome();
-                let mut sorted = good.into_iter();
-                slots
-                    .into_iter()
-                    .map(|slot| {
-                        slot.and_then(|()| {
-                            // One sorted vector exists per Ok slot by
-                            // construction; a typed error, not a panic,
-                            // if that ever breaks.
-                            sorted
-                                .next()
-                                .ok_or(SortError::Internal("batch lane lost its sorted vector"))
-                        })
-                        .map(|keys| SortReport {
-                            shape: self.shape,
-                            factor_name: self.factor_name.clone(),
-                            keys,
-                            outcome,
-                        })
-                    })
-                    .collect()
-            }
-            _ => batch.into_iter().map(|keys| self.sort(keys)).collect(),
-        }
+                Err(FaultError::RetryExhausted { .. }) => Err(SortError::Internal(
+                    "the batch ladder returned an unsorted lane",
+                )),
+            })
+            .collect()
     }
 }
 

@@ -143,9 +143,9 @@ proptest! {
         n in 3usize..6, seed in any::<u64>(), modulus in 1u64..50,
         optimized in any::<bool>(),
     ) {
-        // The lowered kernel — serial, chunked (threshold 1), and
-        // batched — is bit-identical to interpreted execution on random
-        // relabeled factors, where relay moves exercise Route rounds.
+        // The lowered kernel — serial and batched — is bit-identical to
+        // interpreted execution on random relabeled factors, where relay
+        // moves exercise Route rounds.
         let factor = Machine::prepare_factor(&factories::random_connected(n, 2, seed));
         let r = 2;
         let shape = Shape::new(n, r);
@@ -162,10 +162,6 @@ proptest! {
         let mut serial = keys.clone();
         bsp.run_kernel(&mut serial, &kernel, &mut scratch);
         prop_assert_eq!(&serial, &reference);
-
-        let mut chunked = keys.clone();
-        bsp.run_kernel_parallel_threshold(&mut chunked, &kernel, &mut scratch, 1);
-        prop_assert_eq!(&chunked, &reference);
 
         let mut batch = vec![keys; 3];
         let mut pool = ScratchPool::new();

@@ -10,39 +10,14 @@
 //! process-global, and a concurrent test would pollute the deltas.
 
 use pns_graph::factories;
+use pns_obs::CountingAlloc;
 use pns_simulator::{
     compile, pack_zero_one_masks, unpack_zero_one_lane, BitScratch, BspMachine, ShearSorter,
     VerticalPool, WORD_LANES,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 fn lcg_keys(len: u64, seed: u64) -> Vec<u64> {
     let mut state = seed | 1;
@@ -88,12 +63,12 @@ fn warm_vertical_runs_do_not_allocate() {
         bsp.run_vertical_bits(&mut words, &vertical, &mut bits);
         let bits_reference = words.clone();
 
-        let before = allocations();
+        let before = CountingAlloc::count();
         for _ in 0..32 {
             words.copy_from_slice(&input_words);
             bsp.run_vertical_bits(&mut words, &vertical, &mut bits);
         }
-        let delta = allocations() - before;
+        let delta = CountingAlloc::count() - before;
         assert_eq!(
             delta,
             0,
@@ -110,14 +85,14 @@ fn warm_vertical_runs_do_not_allocate() {
         bsp.run_vertical_batch(&mut batch, &vertical, &mut pool);
         let cols_reference = batch.clone();
 
-        let before = allocations();
+        let before = CountingAlloc::count();
         for _ in 0..32 {
             for (lane, src) in batch.iter_mut().zip(&inputs) {
                 lane.clone_from_slice(src);
             }
             bsp.run_vertical_batch(&mut batch, &vertical, &mut pool);
         }
-        let delta = allocations() - before;
+        let delta = CountingAlloc::count() - before;
         assert_eq!(
             delta,
             0,

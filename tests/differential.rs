@@ -6,32 +6,31 @@
 //!
 //! * the charged engine (`network_sort` + `ChargedEngine`),
 //! * the executed engine (`network_sort` + `ExecutedEngine`),
-//! * the serial BSP machine (`BspMachine::run`),
-//! * the deferred-action parallel executor (`run_parallel`),
-//! * the batched executor (`run_batch`, all inputs in one batch),
-//! * the flat kernel tier (`run_kernel`, the chunked-parallel
-//!   `run_kernel_parallel` forced past its threshold, and
-//!   `run_kernel_batch`), on both the raw and optimized lowerings,
-//! * plus serial/parallel/batched runs of the *optimized* program,
+//! * the serial BSP machine (`BspMachine::run`), the reference, on the
+//!   raw and the *optimized* program,
+//! * the flat kernel tier (`run_kernel` and `run_kernel_batch`) and the
+//!   vertical column tier (`run_vertical_batch`), on both lowerings,
+//! * the batch dispatcher (`batch::run`) on both of its clean tiers,
 //!
 //! and require all configurations to be elementwise identical and
-//! snake-order equal to the `std` sort oracle. The algorithm is
-//! oblivious, so any divergence between these paths is a bug in an
-//! executor, not data dependence. A separate test drives the fault
-//! layer's interpreter and kernel paths with identical fault plans and
-//! requires identical reports and final keys.
+//! snake-order equal to the `std` sort and LSB radix oracles. The
+//! algorithm is oblivious, so any divergence between these paths is a
+//! bug in an executor, not data dependence. Separate tests drive the
+//! kernel fault executor and the dispatcher's retry ladder under fault
+//! plans and require every `Ok` lane to equal the clean `run` output.
 
 use product_sort::baselines::LsbRadixSorter;
 use product_sort::graph::factories;
 use product_sort::graph::Graph;
-use product_sort::obs::{Event, EventLogger, MemorySink, TimedEvent};
+use product_sort::obs::{Event, EventLogger, MemorySink, Tier};
 use product_sort::order::radix::Shape;
-use product_sort::sim::bsp::{compile, BspMachine};
+use product_sort::sim::batch::{self, BatchPools, Ladder};
+use product_sort::sim::bsp::{compile, BspMachine, CompiledProgram};
 use product_sort::sim::netsort::{is_snake_sorted, network_sort, read_snake_order};
 use product_sort::sim::{
-    ChargedEngine, CostModel, ExecScratch, ExecutedEngine, FaultPlan, Hypercube2Sorter, Machine,
-    MultiwayNSorter, OetSnakeSorter, PeriodicMergeSorter, Pg2Sorter, RetryPolicy, ScratchPool,
-    ShearSorter, SorterChoice, VerticalPool,
+    ChargedEngine, CostModel, ExecScratch, ExecutedEngine, FaultError, FaultPlan, Hypercube2Sorter,
+    Machine, MultiwayNSorter, OetSnakeSorter, PeriodicMergeSorter, Pg2Sorter, RetryPolicy,
+    ScratchPool, ShearSorter, SorterChoice, VerticalPool,
 };
 
 fn lcg_keys(len: u64, seed: u64) -> Vec<u64> {
@@ -99,25 +98,16 @@ fn differential_case(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) {
             "{ctx} {label}: serial vs std oracle"
         );
 
-        // Parallel executor, raw and optimized programs.
-        for (name, prog) in [("program", &program), ("optimized", &optimized)] {
-            let mut par = input.clone();
-            bsp.run_parallel(&mut par, prog);
-            assert_eq!(par, serial, "{ctx} {label}: run_parallel on {name}");
-            let mut ser2 = input.clone();
-            bsp.run(&mut ser2, prog);
-            assert_eq!(ser2, serial, "{ctx} {label}: serial run on {name}");
-        }
+        // The optimized program through the reference interpreter.
+        let mut opt = input.clone();
+        bsp.run(&mut opt, &optimized);
+        assert_eq!(opt, serial, "{ctx} {label}: serial run on optimized");
 
-        // Kernel tier: serial and chunked-parallel (threshold 1 forces
-        // the chunked path even on tiny rounds), raw and optimized.
+        // Kernel tier, raw and optimized.
         for (name, k) in [("kernel", &kernel), ("kernel-opt", &kernel_opt)] {
             let mut kser = input.clone();
             bsp.run_kernel(&mut kser, k, &mut scratch);
             assert_eq!(kser, serial, "{ctx} {label}: run_kernel on {name}");
-            let mut kpar = input.clone();
-            bsp.run_kernel_parallel_threshold(&mut kpar, k, &mut scratch, 1);
-            assert_eq!(kpar, serial, "{ctx} {label}: chunked kernel on {name}");
         }
 
         // Executed engine (real comparator programs + real routing).
@@ -133,16 +123,6 @@ fn differential_case(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) {
         assert_eq!(charged, serial, "{ctx} {label}: charged engine");
 
         serials.push(serial);
-    }
-
-    // Batched executor: the whole input bank as one batch, raw and
-    // optimized programs.
-    for (name, prog) in [("program", &program), ("optimized", &optimized)] {
-        let mut batch: Vec<Vec<u64>> = bank.iter().map(|(_, input)| input.clone()).collect();
-        bsp.run_batch(&mut batch, prog);
-        for ((label, _), (got, want)) in bank.iter().zip(batch.iter().zip(&serials)) {
-            assert_eq!(got, want, "{ctx} {label}: run_batch on {name}");
-        }
     }
 
     // Batched kernel executor, one scratch pool across both lowerings.
@@ -167,6 +147,31 @@ fn differential_case(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) {
         for ((label, _), (got, want)) in bank.iter().zip(batch.iter().zip(&serials)) {
             assert_eq!(got, want, "{ctx} {label}: run_vertical_batch on {name}");
         }
+
+        // The batch dispatcher on both clean tiers: the bank alone is
+        // below a word of lanes (kernel tier), the bank repeated to a
+        // full word and a tail is above it (vertical tier).
+        let mut pools = BatchPools::new();
+        for (copies, tier) in [(1, Tier::Kernel), (9, Tier::Vertical)] {
+            let mut batch: Vec<Vec<u64>> = (0..copies)
+                .flat_map(|_| bank.iter().map(|(_, input)| input.clone()))
+                .collect();
+            let run = batch::run(
+                &bsp,
+                &vertical,
+                &mut batch,
+                |i| i as u64,
+                &Ladder::clean(),
+                &mut pools,
+            );
+            assert_eq!(run.tier, tier, "{ctx}: dispatcher tier for {copies} copies");
+            assert!(run.lanes.iter().all(Result::is_ok), "{ctx}: clean lanes");
+            for (i, got) in batch.iter().enumerate() {
+                let (label, _) = &bank[i % bank.len()];
+                let want = &serials[i % bank.len()];
+                assert_eq!(got, want, "{ctx} {label}: dispatcher lane {i} on {name}");
+            }
+        }
     }
 }
 
@@ -190,7 +195,7 @@ fn differential_hypercubes() {
     differential_case(&factories::k2(), 2, &Hypercube2Sorter);
     differential_case(&factories::k2(), 3, &Hypercube2Sorter);
     differential_case(&factories::k2(), 4, &Hypercube2Sorter);
-    // Past the PAR_THRESHOLD so run_parallel takes the rayon path.
+    // The 8-cube: 256 nodes, the largest shape in the matrix.
     differential_case(&factories::k2(), 8, &Hypercube2Sorter);
 }
 
@@ -246,11 +251,23 @@ fn differential_star_relays() {
     differential_case(&factories::star(5), 2, &OetSnakeSorter);
 }
 
-/// The fault layer's two executors must agree: the same `FaultPlan`
-/// against the interpreter (`run_with_faults`) and the lowered kernel
-/// (`run_kernel_with_faults`) fires the same fault sites, detects at
-/// the same certificates, and leaves bit-identical keys — faults are
-/// keyed by `(round, op)`, which lowering preserves 1:1.
+/// The clean interpreter's output for `input`, checked against the
+/// LSB radix oracle in snake order: what every `Ok` fault lane must
+/// equal.
+fn clean_output(bsp: &BspMachine, program: &CompiledProgram, input: &[u64]) -> Vec<u64> {
+    let mut clean = input.to_vec();
+    bsp.run(&mut clean, program);
+    let mut radixed = input.to_vec();
+    LsbRadixSorter::new().sort_u64(&mut radixed);
+    assert_eq!(read_snake_order(bsp.shape(), &clean), radixed);
+    clean
+}
+
+/// The kernel fault executor under random plans: every `Ok` run ends
+/// equal to the clean `run` output (and so to the radix oracle), every
+/// failure is a typed `RetryExhausted`, and the default policy repairs
+/// what it detects — faults are keyed by `(round, op)`, which lowering
+/// preserves 1:1.
 #[test]
 fn differential_fault_paths() {
     let cases: [(&Graph, usize, &dyn Pg2Sorter); 5] = [
@@ -264,6 +281,7 @@ fn differential_fault_paths() {
             &PeriodicMergeSorter { extra_blocks: 0 },
         ),
     ];
+    let mut injections = 0usize;
     for (factor, r, sorter) in cases {
         let shape = Shape::new(factor.n(), r);
         let ctx = format!("factor={} r={r}", factor.name());
@@ -272,18 +290,27 @@ fn differential_fault_paths() {
         let kernel = bsp.lower(&program).expect("compiled programs validate");
         let mut scratch = ExecScratch::new();
         let input = lcg_keys(shape.len(), 0xFA17);
+        let clean = clean_output(&bsp, &program, &input);
         for policy in [RetryPolicy::default(), RetryPolicy::detect_only()] {
             for seed in 0..12u64 {
                 let plan = FaultPlan::random(seed, 5_000);
-                let mut a = input.clone();
-                let ra = bsp.run_with_faults(&mut a, &program, &plan, &policy);
-                let mut b = input.clone();
-                let rb = bsp.run_kernel_with_faults(&mut b, &kernel, &plan, &policy, &mut scratch);
-                assert_eq!(ra, rb, "{ctx} seed={seed}: fault reports diverge");
-                assert_eq!(a, b, "{ctx} seed={seed}: faulty keys diverge");
+                let mut keys = input.clone();
+                match bsp.run_kernel_with_faults(&mut keys, &kernel, &plan, &policy, &mut scratch) {
+                    Ok(report) => {
+                        assert_eq!(
+                            keys, clean,
+                            "{ctx} seed={seed}: Ok must equal the clean run"
+                        );
+                        assert_eq!(report.rounds, report.counters.total_rounds());
+                        injections += report.injected.len();
+                    }
+                    Err(FaultError::RetryExhausted { .. }) => {}
+                    Err(other) => panic!("{ctx} seed={seed}: unexpected {other}"),
+                }
             }
         }
     }
+    assert!(injections > 0, "no fault was ever injected — dead test");
 }
 
 /// A freshly traced machine plus the reader for its event ring and a
@@ -300,33 +327,13 @@ fn traced_machine(
     (bsp, logger, reader)
 }
 
-/// The fault-layer events only, in emission order. Round and batch
-/// events are excluded: the interpreter and vertical tiers legitimately
-/// execute different word-level schedules, but the *fault story* —
-/// which sites fired, where detection tripped, what was retried, who
-/// was quarantined — must be identical, and both batch executors replay
-/// it post-join in lane order.
-fn fault_event_stream(events: &[TimedEvent]) -> Vec<Event> {
-    events
-        .iter()
-        .map(|te| te.event)
-        .filter(|e| {
-            matches!(
-                e,
-                Event::FaultInjected { .. }
-                    | Event::FaultDetected { .. }
-                    | Event::RetryRound { .. }
-                    | Event::LaneQuarantined { .. }
-            )
-        })
-        .collect()
-}
-
-/// The vertical fault executor is a lockstep re-expression of the
-/// scalar fault batch: same per-lane forked plans, same probe seeds,
-/// same checkpoint boundaries. Reports, final keys, *and* the replayed
-/// `FaultInjected`/`FaultDetected`/`RetryRound`/`LaneQuarantined`
-/// event sequences must all be identical, malformed lanes included.
+/// The dispatcher's retry ladder on batches wide enough for the
+/// vertical tier: under a fault plan every lane runs the kernel fault
+/// ladder instead, ends equal to the clean `run` output, and comes out
+/// exactly as it would alone in a batch of one — a lane's outcome
+/// depends on its id, its input and the plan, never on its batch-mates
+/// or the tier the batch would take clean. The fault events the batch
+/// emits account for every report.
 #[test]
 fn differential_vertical_fault_paths() {
     let cases: [(&Graph, usize, &dyn Pg2Sorter); 5] = [
@@ -345,6 +352,9 @@ fn differential_vertical_fault_paths() {
         let shape = Shape::new(factor.n(), r);
         let ctx = format!("factor={} r={r}", factor.name());
         let program = compile(factor, r, sorter);
+        // Reference and single-lane runs stay off the traced machine, so
+        // its event stream is exactly the batch's.
+        let plain = BspMachine::new(factor, r);
 
         // 70 lanes — one full word block plus a 6-lane tail — with a
         // malformed lane inside the full block.
@@ -352,44 +362,71 @@ fn differential_vertical_fault_paths() {
             (0..70).map(|s| lcg_keys(shape.len(), 0xFA17 + s)).collect();
         inputs[5] = vec![1, 2, 3];
 
-        for policy in [RetryPolicy::default(), RetryPolicy::detect_only()] {
-            for seed in 0..6u64 {
-                let plan = FaultPlan::random(seed, 5_000);
-
-                // Fresh rings per run so the two streams compare 1:1.
-                let (bsp_a, logger_a, reader_a) = traced_machine(factor, r);
-                let mut a = inputs.clone();
-                let ra = bsp_a.run_batch_with_faults(&mut a, &program, &plan, &policy);
-
-                let (bsp_b, logger_b, reader_b) = traced_machine(factor, r);
-                let vertical = bsp_b
+        for (policy, retries) in [(RetryPolicy::default(), 0), (RetryPolicy::detect_only(), 1)] {
+            for seed in 0..3u64 {
+                let ladder = Ladder {
+                    plan: FaultPlan::random(seed, 5_000),
+                    policy,
+                    retries,
+                };
+                let (bsp, logger, reader) = traced_machine(factor, r);
+                let vertical = bsp
                     .lower_vertical(&program)
                     .expect("compiled programs validate");
-                let mut pool = VerticalPool::new();
-                let mut b = inputs.clone();
-                let rb = bsp_b
-                    .run_vertical_batch_with_faults(&mut b, &vertical, &plan, &policy, &mut pool);
-
-                assert_eq!(ra, rb, "{ctx} seed={seed}: fault reports diverge");
-                assert_eq!(a, b, "{ctx} seed={seed}: faulty keys diverge");
-                assert!(
-                    ra[5].is_err(),
-                    "{ctx} seed={seed}: malformed lane must error on both paths"
+                let mut pools = BatchPools::new();
+                let mut batch = inputs.clone();
+                let run = batch::run(
+                    &bsp,
+                    &vertical,
+                    &mut batch,
+                    |i| i as u64,
+                    &ladder,
+                    &mut pools,
                 );
-
-                logger_a.flush();
-                logger_b.flush();
-                let fa = fault_event_stream(&reader_a.events());
-                let fb = fault_event_stream(&reader_b.events());
-                assert_eq!(fa, fb, "{ctx} seed={seed}: fault event streams diverge");
-                injections += fa
-                    .iter()
-                    .filter(|e| matches!(e, Event::FaultInjected { .. }))
-                    .count();
+                assert_eq!(run.tier, Tier::Fault, "{ctx} seed={seed}");
+                assert!(
+                    matches!(run.lanes[5], Err(FaultError::WrongKeyCount { .. })),
+                    "{ctx} seed={seed}: malformed lane must error"
+                );
+                let (mut injected, mut quarantined) = (0, 0);
+                for (i, lane) in run.lanes.iter().enumerate().filter(|(i, _)| *i != 5) {
+                    let report = lane.as_ref().expect("well-formed lanes never fail");
+                    let clean = clean_output(&plain, &program, &inputs[i]);
+                    assert_eq!(batch[i], clean, "{ctx} seed={seed} lane={i}");
+                    injected += report.injected.len();
+                    quarantined += usize::from(report.quarantined);
+                    if i % 17 == 0 {
+                        let mut alone = vec![inputs[i].clone()];
+                        let solo = batch::run(
+                            &plain,
+                            &vertical,
+                            &mut alone,
+                            |_| i as u64,
+                            &ladder,
+                            &mut pools,
+                        );
+                        assert_eq!(solo.lanes[0].as_ref(), Ok(report), "{ctx} lane={i}");
+                        assert_eq!(alone[0], batch[i], "{ctx} lane={i}");
+                    }
+                }
+                logger.flush();
+                let events: Vec<Event> = reader.events().iter().map(|te| te.event).collect();
+                let count = |f: fn(&Event) -> bool| events.iter().filter(|e| f(e)).count();
+                assert_eq!(
+                    count(|e| matches!(e, Event::FaultInjected { .. })),
+                    injected,
+                    "{ctx} seed={seed}: every injected fault is an event"
+                );
+                assert_eq!(
+                    count(|e| matches!(e, Event::LaneQuarantined { .. })),
+                    quarantined,
+                    "{ctx} seed={seed}: every quarantine is an event"
+                );
+                injections += injected;
             }
         }
     }
-    // The comparison must not be vacuous: across 3 fixtures x 2
-    // policies x 6 seeds at 5000 ppm, faults definitely fired.
+    // The comparison must not be vacuous: across 5 fixtures x 2
+    // policies x 3 seeds at 5000 ppm, faults definitely fired.
     assert!(injections > 0, "no fault was ever injected — dead test");
 }

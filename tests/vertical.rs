@@ -8,11 +8,12 @@
 //! tier-1 check: every test here sweeps **all** `2^n` masks of its
 //! fixture through `run_vertical_bits`, for both the raw and optimized
 //! lowerings, and cross-checks the tier against the serial machine,
-//! the kernel batch, and the fault executors.
+//! the kernel batch, and the batch dispatcher's fault ladder.
 
 use product_sort::graph::factories;
 use product_sort::graph::Graph;
 use product_sort::order::radix::Shape;
+use product_sort::sim::batch::{self, BatchPools, Ladder};
 use product_sort::sim::bsp::{compile, BspMachine};
 use product_sort::sim::netsort::read_snake_order;
 use product_sort::sim::{
@@ -221,9 +222,10 @@ fn machine_sort_batch_auto_selects_the_vertical_tier() {
 /// fault layer, swept over **all** `2^16` zero-one vectors per fixture.
 /// The tier-1 tests above prove the bit path exhaustively; this run
 /// additionally pushes the full space through the column batch and the
-/// two batch fault executors and requires lane-for-lane agreement.
+/// dispatcher's fault ladder and requires lane-for-lane agreement with
+/// the clean kernel batch.
 #[test]
-#[ignore = "release-mode sweep: 2 fixtures x 2 lowerings x 65,536 lanes through three batch executors"]
+#[ignore = "release-mode sweep: 2 fixtures x 2 lowerings x 65,536 lanes through three batch paths"]
 fn exhaustive_zero_one_engine_optimizer_fault_cross_product() {
     let cases: [(&Graph, usize, &dyn Pg2Sorter); 2] = [
         (&factories::k2(), 4, &Hypercube2Sorter),
@@ -252,18 +254,21 @@ fn exhaustive_zero_one_engine_optimizer_fault_cross_product() {
             machine.run_kernel_batch(&mut kern, &kernel, &mut kpool);
             assert_eq!(cols, kern, "{ctx}: column batch vs kernel batch");
 
-            // Fault executors: identical plans over the whole space.
+            // The fault ladder over the whole space: every lane ends
+            // equal to the clean kernel batch.
+            let mut pools = BatchPools::new();
             for policy in [RetryPolicy::default(), RetryPolicy::detect_only()] {
                 for seed in 0..2u64 {
-                    let plan = FaultPlan::random(seed, 2_000);
+                    let ladder = Ladder {
+                        plan: FaultPlan::random(seed, 2_000),
+                        policy,
+                        retries: 1,
+                    };
                     let mut a = all_inputs.clone();
-                    let ra = machine.run_batch_with_faults(&mut a, prog, &plan, &policy);
-                    let mut b = all_inputs.clone();
-                    let rb = machine.run_vertical_batch_with_faults(
-                        &mut b, &vertical, &plan, &policy, &mut pool,
-                    );
-                    assert_eq!(ra, rb, "{ctx} seed={seed}: fault reports diverge");
-                    assert_eq!(a, b, "{ctx} seed={seed}: faulty keys diverge");
+                    let lane = |i: usize| i as u64;
+                    let run = batch::run(&machine, &vertical, &mut a, lane, &ladder, &mut pools);
+                    assert!(run.lanes.iter().all(Result::is_ok), "{ctx} seed={seed}");
+                    assert_eq!(a, kern, "{ctx} seed={seed}: fault ladder vs kernel batch");
                 }
             }
         }

@@ -99,14 +99,21 @@ fn bsp_hypercube_4_zero_one_sampled() {
     // Tier-1 slice of the heavy sweep `bsp_hypercube_4_zero_one_exhaustive`
     // (tests/heavy.rs): instead of all 2^16 masks of the 4-cube, a seeded
     // sample of 4096 — deterministic, so failures reproduce — run through
-    // both the serial BSP machine and the deferred-action parallel
-    // executor. Structured corner masks are always included.
+    // both the serial BSP machine and the kernel tier (raw and optimized
+    // lowerings). Structured corner masks are always included.
     use product_sort::sim::bsp::{compile, BspMachine};
+    use product_sort::sim::ExecScratch;
 
     let factor = factories::k2();
     let program = compile(&factor, 4, &Hypercube2Sorter);
-    let optimized = program.optimized();
     let machine = BspMachine::new(&factor, 4);
+    let kernels = [
+        machine.lower(&program).expect("compiled programs validate"),
+        machine
+            .lower(&program.optimized())
+            .expect("optimized programs validate"),
+    ];
+    let mut scratch = ExecScratch::new();
     for mask in sampled_hypercube_masks() {
         let input: Vec<u8> = (0..16).map(|i| ((mask >> i) & 1) as u8).collect();
         let zeros = input.iter().filter(|&&k| k == 0).count();
@@ -119,10 +126,10 @@ fn bsp_hypercube_4_zero_one_sampled() {
         let seq = read_snake_order(machine.shape(), &serial);
         assert!(seq[..zeros].iter().all(|&k| k == 0), "mask={mask:#06x}");
         assert!(seq[zeros..].iter().all(|&k| k == 1), "mask={mask:#06x}");
-        for prog in [&program, &optimized] {
-            let mut par = input.clone();
-            machine.run_parallel(&mut par, prog);
-            assert_eq!(par, serial, "mask={mask:#06x}: parallel vs serial");
+        for kernel in &kernels {
+            let mut lowered = input.clone();
+            machine.run_kernel(&mut lowered, kernel, &mut scratch);
+            assert_eq!(lowered, serial, "mask={mask:#06x}: kernel vs serial");
         }
     }
 }
