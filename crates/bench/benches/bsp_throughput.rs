@@ -1,8 +1,8 @@
 //! Wall-clock benches for the batched BSP executors (E16) and the flat
 //! kernel tier (E19): the validating interpreter vs the kernel on single
 //! vectors, batched throughput as the batch grows, the batch dispatcher
-//! with and without a fault plan, compile-from-scratch vs program-cache
-//! hit, and the optimized program against the raw compile.
+//! with and without a fault plan, and compile-from-scratch vs
+//! program-cache hit.
 //!
 //! Groups share one set of compiled + lowered fixtures (built once in a
 //! `OnceLock`) so criterion timing never includes compilation and every
@@ -42,7 +42,6 @@ struct Fixtures {
     k2: Graph,
     k2_program: CompiledProgram,
     k2_kernel: KernelProgram,
-    k2_optimized: KernelProgram,
 }
 
 fn fixtures() -> &'static Fixtures {
@@ -63,13 +62,9 @@ fn fixtures() -> &'static Fixtures {
             .expect("cube program validates");
         let k2 = factories::k2();
         let k2_program = compile(&k2, 10, &Hypercube2Sorter);
-        let k2_machine = BspMachine::new(&k2, 10);
-        let k2_kernel = k2_machine
+        let k2_kernel = BspMachine::new(&k2, 10)
             .lower(&k2_program)
             .expect("cube program validates");
-        let k2_optimized = k2_machine
-            .lower(&k2_program.optimized())
-            .expect("optimized programs validate");
         Fixtures {
             petersen,
             petersen_kernel,
@@ -80,7 +75,6 @@ fn fixtures() -> &'static Fixtures {
             k2,
             k2_program,
             k2_kernel,
-            k2_optimized,
         }
     })
 }
@@ -103,13 +97,6 @@ fn bench_single_vector(c: &mut Criterion) {
         b.iter(|| {
             let mut k = keys.clone();
             bsp.run_kernel(&mut k, black_box(&fx.k2_kernel), &mut scratch);
-            black_box(k)
-        });
-    });
-    group.bench_function("kernel_run_optimized", |b| {
-        b.iter(|| {
-            let mut k = keys.clone();
-            bsp.run_kernel(&mut k, black_box(&fx.k2_optimized), &mut scratch);
             black_box(k)
         });
     });
@@ -434,9 +421,9 @@ fn bench_cache(c: &mut Criterion) {
     group.bench_function("cache_hit", |b| {
         b.iter(|| black_box(cache.get_or_compile(&factor, r, &Hypercube2Sorter)));
     });
-    let _warm_kernel = cache.get_or_compile_kernel(&factor, r, &Hypercube2Sorter);
-    group.bench_function("kernel_cache_hit", |b| {
-        b.iter(|| black_box(cache.get_or_compile_kernel(&factor, r, &Hypercube2Sorter)));
+    // A machine on a warm cache: one lookup, no compile and no replay.
+    group.bench_function("machine_build_warm", |b| {
+        b.iter(|| black_box(Machine::compiled(&factor, r, &Hypercube2Sorter, &cache)));
     });
     group.finish();
 }

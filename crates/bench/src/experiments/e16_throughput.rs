@@ -6,10 +6,7 @@
 //!    to `std` sort via snake order) on every tested topology.
 //! 2. A second machine on the same `(factor, r, sorter)` is served from
 //!    the [`ProgramCache`] without recompiling (hit counter goes up,
-//!    miss counter does not).
-//! 3. The op-stream optimizer only shrinks programs (rounds and ops),
-//!    with its pass accounting consistent, and optimized programs sort
-//!    identically.
+//!    miss counter does not, both machines share one program).
 //!
 //! Wall-clock throughput columns (keys/ms, the serial interpreter vs
 //! `Machine::sort_batch`) are
@@ -23,6 +20,7 @@ use pns_simulator::bsp::BspMachine;
 use pns_simulator::netsort::read_snake_order;
 use pns_simulator::{fingerprint, Hypercube2Sorter};
 use pns_simulator::{Machine, OetSnakeSorter, Pg2Sorter, ProgramCache, ShearSorter};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Vectors per batch. Large enough that batching can spread across
@@ -46,15 +44,13 @@ pub fn run() -> Report {
         "e16_throughput",
         "Extension: batched BSP execution + program cache — batch output \
          bit-identical to serial runs, cache serves repeats without \
-         recompiling, optimizer only shrinks programs",
+         recompiling",
         &[
             "factor",
             "r",
             "nodes",
             "rounds",
-            "opt rounds",
             "ops",
-            "opt ops",
             "cache(h/m)",
             "serial keys/ms",
             "batch keys/ms",
@@ -83,7 +79,6 @@ pub fn run() -> Report {
         let len = shape.len();
         let bsp = BspMachine::new(&factor, r);
         let program = machine.program().expect("compiled machine").clone();
-        let optimized = program.optimized();
 
         // Claim 1: batch == serial == std sort, elementwise.
         let batch: Vec<Vec<u64>> = (0..BATCH as u64)
@@ -116,21 +111,10 @@ pub fn run() -> Report {
         let after = cache.stats();
         let cache_ok = after.hits == before.hits + 1
             && after.misses == before.misses
-            && after.entries == before.entries;
+            && after.entries == before.entries
+            && again.program().is_some_and(|p| Arc::ptr_eq(p, &program));
         let again_out = again.sort(batch[0].clone()).expect("length ok");
         let cached_identical = again_out.keys == serial[0];
-
-        // Claim 3: optimizer shrinks consistently and stays correct.
-        let stats = optimized.stats();
-        let opt_ok = stats.rounds_after <= stats.rounds_before
-            && stats.ops_after == stats.ops_before - stats.compare_exchanges_elided
-            && stats.rounds_after
-                == stats.rounds_before - stats.empty_rounds_elided - stats.rounds_fused
-            && {
-                let mut k = batch[0].clone();
-                bsp.run(&mut k, &optimized);
-                k == serial[0]
-            };
 
         // Informational wall-clock throughput (not part of `match`).
         let serial_ms = {
@@ -148,7 +132,7 @@ pub fn run() -> Report {
             start.elapsed().as_secs_f64() * 1e3
         };
         let total_keys = (len * BATCH as u64) as f64;
-        let ok = identical && std_sorted && cache_ok && cached_identical && opt_ok;
+        let ok = identical && std_sorted && cache_ok && cached_identical;
         report.check(ok);
         report.row(&[
             format!(
@@ -159,9 +143,7 @@ pub fn run() -> Report {
             r.to_string(),
             len.to_string(),
             program.rounds().to_string(),
-            optimized.rounds().to_string(),
             program.op_count().to_string(),
-            optimized.op_count().to_string(),
             format!("{}/{}", cache.stats().hits, cache.stats().misses),
             format!("{:.0}", total_keys / serial_ms),
             format!("{:.0}", total_keys / batch_ms),

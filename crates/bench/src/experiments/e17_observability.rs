@@ -22,9 +22,7 @@
 use crate::Report;
 use pns_graph::factories;
 use pns_obs::{EventLogger, JsonlSink, MemorySink, MultiSink, ObsSummary, Sink, TimedEvent};
-use pns_simulator::{
-    CostModel, Hypercube2Sorter, Machine, OetSnakeSorter, ProgramCache, ShearSorter,
-};
+use pns_simulator::{CostModel, Hypercube2Sorter, Machine, OetSnakeSorter, ProgramCache};
 
 fn lcg_keys(len: u64, seed: u64) -> Vec<u64> {
     let mut state = seed;
@@ -169,28 +167,7 @@ pub fn run() -> Report {
             (6, total, cache.stats().to_string())
         }),
     );
-    let optimized: Setup = (
-        "shear 4x4 r=2 opt",
-        "compiled+opt",
-        Box::new(|logger| {
-            let factor = factories::path(4);
-            let mut cache = ProgramCache::new();
-            cache.attach_logger(logger.clone());
-            let mut machine = Machine::compiled_optimized(&factor, 2, &ShearSorter, &cache);
-            machine.attach_logger(logger.clone());
-            let len = machine.shape().len();
-            let batch: Vec<Vec<u64>> = (0..3).map(|s| lcg_keys(len, s + 40)).collect();
-            let mut total = pns_core::Counters::new();
-            for rep in machine.sort_batch(batch) {
-                let rep = rep.expect("lengths");
-                assert!(rep.is_snake_sorted());
-                total = total.then(rep.outcome.counters);
-            }
-            (3, total, cache.stats().to_string())
-        }),
-    );
-
-    for (case, engine, mut body) in [charged, executed, compiled, optimized] {
+    for (case, engine, mut body) in [charged, executed, compiled] {
         let (logger, reader) = memory_logger(&format!("e17_observability {case}"));
         let (sorts, counters, cache_line) = body(&logger);
         logger.finish();

@@ -3,8 +3,7 @@
 //!
 //! 1. The lowered kernel produces configurations bit-identical to
 //!    `BspMachine::run`, single vectors (`run_kernel`) and batches
-//!    (`run_kernel_batch`), on every tested topology, raw and
-//!    optimized.
+//!    (`run_kernel_batch`), on every tested topology.
 //! 2. Lowering is shape-preserving: round count matches the source
 //!    program, and every round classifies as compare or route (plus
 //!    empties), with the class totals adding up.
@@ -97,25 +96,18 @@ pub fn collect(probe: Option<fn() -> u64>) -> Vec<E19Row> {
     let mut rows = Vec::new();
     for (factor, r, sorter) in cases {
         let program = compile(&factor, r, sorter);
-        let optimized = program.optimized();
         let bsp = BspMachine::new(&factor, r);
         let kernel = bsp.lower(&program).expect("compiled programs validate");
-        let kernel_opt = bsp.lower(&optimized).expect("optimized programs validate");
         let len = kernel.shape().len();
         let input = lcg_keys(len, 0xE19);
 
-        // Claim 1: bit-identical on every path, raw and optimized.
+        // Claim 1: bit-identical on every path.
         let mut reference = input.clone();
         bsp.run(&mut reference, &program);
         let mut scratch = ExecScratch::new();
-        let mut identical = true;
-        for (prog, kern) in [(&program, &kernel), (&optimized, &kernel_opt)] {
-            let mut a = input.clone();
-            bsp.run(&mut a, prog);
-            let mut b = input.clone();
-            bsp.run_kernel(&mut b, kern, &mut scratch);
-            identical &= a == reference && b == reference;
-        }
+        let mut single = input.clone();
+        bsp.run_kernel(&mut single, &kernel, &mut scratch);
+        let mut identical = single == reference;
         let batch: Vec<Vec<u64>> = (0..BATCH as u64)
             .map(|s| lcg_keys(len, s * 2654435761 + 3))
             .collect();

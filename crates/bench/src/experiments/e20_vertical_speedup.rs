@@ -3,11 +3,9 @@
 //!
 //! 1. The bit path is exact: 64 zero-one lanes packed one bit per lane
 //!    into a `u64` word per node land, lane for lane, exactly where
-//!    `run_kernel_batch` puts the scalar 0/1 vectors — raw and
-//!    optimized lowerings.
+//!    `run_kernel_batch` puts the scalar 0/1 vectors.
 //! 2. The column path is exact: a full-key batch of one word block
-//!    plus a partial tail is bit-identical to `run_kernel_batch` on
-//!    both lowerings.
+//!    plus a partial tail is bit-identical to `run_kernel_batch`.
 //! 3. When an allocation probe is supplied (the `e20_vertical_speedup`
 //!    binary installs a counting global allocator), warm
 //!    `run_vertical_bits` calls perform **zero** heap allocations.
@@ -120,18 +118,13 @@ pub fn collect(probe: Option<fn() -> u64>) -> Vec<E20Row> {
     let mut rows = Vec::new();
     for (factor, r, sorter) in cases {
         let program = compile(&factor, r, sorter);
-        let optimized = program.optimized();
         let bsp = BspMachine::new(&factor, r);
         let len = bsp.shape().len();
         let n = len as usize;
         let vertical = bsp
             .lower_vertical(&program)
             .expect("compiled programs validate");
-        let vertical_opt = bsp
-            .lower_vertical(&optimized)
-            .expect("optimized programs validate");
         let kernel = bsp.lower(&program).expect("compiled programs validate");
-        let kernel_opt = bsp.lower(&optimized).expect("optimized programs validate");
 
         // 64 random 0/1 lanes, as packed words and as scalar vectors.
         let input_words = random_words(len, 0xE20);
@@ -144,15 +137,12 @@ pub fn collect(probe: Option<fn() -> u64>) -> Vec<E20Row> {
         let mut kernel01 = batch01.clone();
         bsp.run_kernel_batch(&mut kernel01, &kernel, &mut pool);
         let mut bits = BitScratch::new();
-        let mut identical = true;
-        for v in [&vertical, &vertical_opt] {
-            let mut words = input_words.clone();
-            bsp.run_vertical_bits(&mut words, v, &mut bits);
-            for (l, want) in kernel01.iter().enumerate() {
-                let got = unpack_zero_one_lane(&words, l);
-                identical &= got.iter().map(|&k| u64::from(k)).eq(want.iter().copied());
-            }
-        }
+        let mut words = input_words.clone();
+        bsp.run_vertical_bits(&mut words, &vertical, &mut bits);
+        let mut identical = kernel01.iter().enumerate().all(|(l, want)| {
+            let got = unpack_zero_one_lane(&words, l);
+            got.iter().map(|&k| u64::from(k)).eq(want.iter().copied())
+        });
 
         // Claim 2: the column path is bit-identical on full keys.
         let full: Vec<Vec<u64>> = (0..COL_BATCH as u64)
@@ -160,17 +150,10 @@ pub fn collect(probe: Option<fn() -> u64>) -> Vec<E20Row> {
             .collect();
         let mut kernel_full = full.clone();
         bsp.run_kernel_batch(&mut kernel_full, &kernel, &mut pool);
-        {
-            let mut check = full.clone();
-            bsp.run_kernel_batch(&mut check, &kernel_opt, &mut pool);
-            identical &= check == kernel_full;
-        }
         let mut vpool = VerticalPool::new();
-        for v in [&vertical, &vertical_opt] {
-            let mut cols = full.clone();
-            bsp.run_vertical_batch(&mut cols, v, &mut vpool);
-            identical &= cols == kernel_full;
-        }
+        let mut cols = full.clone();
+        bsp.run_vertical_batch(&mut cols, &vertical, &mut vpool);
+        identical &= cols == kernel_full;
 
         // Timed passes. Inputs are restored with `clone_from_slice` /
         // `copy_from_slice` so the loops themselves allocate nothing

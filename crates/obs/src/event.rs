@@ -123,18 +123,10 @@ pub enum Event {
         /// Worker lanes available to spread the batch across.
         lanes: u64,
     },
-    /// A compiled program passed static validation; carries the
-    /// program's optimizer accounting so perf dashboards can read
-    /// savings without the program itself.
+    /// A compiled program passed static validation.
     Validate {
         /// Rounds in the validated program.
         rounds: u64,
-        /// Compare-exchanges removed by the optimizer (0 for
-        /// unoptimized programs).
-        elided_cx: u64,
-        /// Rounds merged by disjoint-round fusion (0 for unoptimized
-        /// programs).
-        fused: u64,
     },
     /// A transient fault fired at an execution site (fault-injecting
     /// executors only).
@@ -280,12 +272,7 @@ mod tests {
             }
             .kind(),
             Event::BatchScheduled { batch: 1, lanes: 1 }.kind(),
-            Event::Validate {
-                rounds: 0,
-                elided_cx: 0,
-                fused: 0,
-            }
-            .kind(),
+            Event::Validate { rounds: 0 }.kind(),
             Event::FaultInjected {
                 round: 0,
                 op: 0,

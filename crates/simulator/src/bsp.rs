@@ -22,6 +22,7 @@
 use crate::engine::{Engine, Pg2Instance};
 use crate::netsort::network_merge;
 use crate::sorters::Pg2Sorter;
+use pns_core::Counters;
 use pns_graph::Graph;
 use pns_obs::{Event, EventLogger, SpanClass, Stage, Tier, ROUND_OBS_MIN_OPS};
 use pns_order::radix::Shape;
@@ -72,45 +73,6 @@ pub enum Op {
 /// per direction) is validated at execution.
 pub type BspRound = Vec<Op>;
 
-/// Compile-time statistics for a program: size before and after the
-/// optimizer ran, plus what each pass removed. For a freshly compiled
-/// (unoptimized) program the before/after numbers coincide and the pass
-/// counters are zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct ProgramStats {
-    /// Rounds before optimization.
-    pub rounds_before: u64,
-    /// Operations before optimization.
-    pub ops_before: u64,
-    /// Rounds after optimization.
-    pub rounds_after: u64,
-    /// Operations after optimization.
-    pub ops_after: u64,
-    /// Rounds dropped because they contained no operations (empty
-    /// parity classes of odd-even transposition rounds, or rounds
-    /// emptied by compare-exchange elimination).
-    pub empty_rounds_elided: u64,
-    /// Compare-exchanges dropped because an identical exchange already
-    /// ordered the same pair and nothing touched either key since.
-    pub compare_exchanges_elided: u64,
-    /// Adjacent rounds merged because their resource footprints
-    /// (keys, transit slots, directed edges) are disjoint.
-    pub rounds_fused: u64,
-}
-
-impl ProgramStats {
-    /// Stats for an unoptimized program of the given size.
-    fn identity(rounds: u64, ops: u64) -> Self {
-        ProgramStats {
-            rounds_before: rounds,
-            ops_before: ops,
-            rounds_after: rounds,
-            ops_after: ops,
-            ..ProgramStats::default()
-        }
-    }
-}
-
 /// A certificate point of a compiled program: a round boundary at which
 /// a stage invariant provably holds on fault-free execution. After the
 /// first `round` rounds, every `dims`-dimensional subgraph over
@@ -118,9 +80,7 @@ impl ProgramStats {
 /// invariant; `dims = r` at the final boundary means globally sorted).
 ///
 /// Fault-injecting executors check these certificates between stages and
-/// retry the enclosed segment from a checkpoint when one fails. The
-/// optimizer treats certificate boundaries as fusion barriers, so they
-/// survive optimization exactly.
+/// retry the enclosed segment from a checkpoint when one fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CertPoint {
     /// Rounds executed before the certificate holds (a boundary index:
@@ -137,7 +97,6 @@ pub struct CertPoint {
 pub struct CompiledProgram {
     shape: Shape,
     rounds: Vec<BspRound>,
-    stats: ProgramStats,
     cert_points: Vec<CertPoint>,
 }
 
@@ -149,12 +108,9 @@ impl CompiledProgram {
     /// no invariant to check.
     #[must_use]
     pub fn from_rounds(shape: Shape, rounds: Vec<BspRound>) -> Self {
-        let ops = rounds.iter().map(Vec::len).sum::<usize>() as u64;
-        let stats = ProgramStats::identity(rounds.len() as u64, ops);
         CompiledProgram {
             shape,
             rounds,
-            stats,
             cert_points: Vec::new(),
         }
     }
@@ -189,216 +145,6 @@ impl CompiledProgram {
     pub fn shape(&self) -> Shape {
         self.shape
     }
-
-    /// Optimizer statistics (identity for unoptimized programs).
-    #[must_use]
-    pub fn stats(&self) -> ProgramStats {
-        self.stats
-    }
-
-    /// Optimize the op stream. Three passes, all semantics-preserving
-    /// for every input (the sort is oblivious, so this is provable from
-    /// the schedule alone):
-    ///
-    /// 1. **Idempotent compare-exchange elimination** — a compare
-    ///    identical to one already applied, with neither resident key
-    ///    touched since, can never swap again and is dropped.
-    /// 2. **Empty-round elision** — rounds with no operations (pushed
-    ///    by [`compile`] for empty transposition parity classes to
-    ///    mirror the executed engine's accounting) are removed.
-    /// 3. **Round fusion** — an adjacent pair of rounds whose resource
-    ///    footprints are disjoint (resident keys read *or* written,
-    ///    transit slots taken *or* written, directed edges) merges into
-    ///    one synchronous round; this chains, so runs of disjoint
-    ///    rounds (e.g. relay move chains of independent waves)
-    ///    agglomerate.
-    ///
-    /// The result generally has **fewer rounds than the executed
-    /// engine's step count**, so [`compile`] does not optimize by
-    /// default; opt in where raw round counts are not being compared.
-    #[must_use]
-    pub fn optimized(&self) -> CompiledProgram {
-        let mut stats = ProgramStats::identity(self.rounds.len() as u64, self.op_count() as u64);
-        let mut rounds = self.rounds.clone();
-        eliminate_idempotent_cx(&mut rounds, &mut stats);
-        // Empty-round elision, tracking how each boundary index shifts:
-        // kept_before[i] = rounds kept among the first i.
-        let mut kept_before: Vec<usize> = Vec::with_capacity(rounds.len() + 1);
-        let mut kept: Vec<BspRound> = Vec::with_capacity(rounds.len());
-        for round in rounds {
-            kept_before.push(kept.len());
-            if round.is_empty() {
-                stats.empty_rounds_elided += 1;
-            } else {
-                kept.push(round);
-            }
-        }
-        kept_before.push(kept.len());
-        let certs_kept: Vec<CertPoint> = self
-            .cert_points
-            .iter()
-            .map(|c| CertPoint {
-                round: kept_before[c.round as usize] as u64,
-                dims: c.dims,
-            })
-            .collect();
-        // Certificate boundaries are fusion barriers: the invariant holds
-        // *between* two specific rounds, so fusing across the boundary
-        // would leave the certificate nowhere to attach.
-        let barriers: std::collections::HashSet<usize> =
-            certs_kept.iter().map(|c| c.round as usize).collect();
-        let (rounds, fused_before) = fuse_disjoint_rounds(kept, &barriers, &mut stats);
-        let cert_points = certs_kept
-            .iter()
-            .map(|c| CertPoint {
-                round: fused_before[c.round as usize] as u64,
-                dims: c.dims,
-            })
-            .collect();
-        stats.rounds_after = rounds.len() as u64;
-        stats.ops_after = rounds.iter().map(Vec::len).sum::<usize>() as u64;
-        CompiledProgram {
-            shape: self.shape,
-            rounds,
-            stats,
-            cert_points,
-        }
-    }
-}
-
-/// Drop compare-exchanges that re-order an already-ordered pair.
-///
-/// Walks the op stream in execution order tracking, per node, the fact
-/// "this node's key and its partner's key are ordered by a previous
-/// exchange". The fact dies as soon as either key is written again (a
-/// different compare-exchange or a resolve); moves only *read* keys and
-/// preserve it.
-fn eliminate_idempotent_cx(rounds: &mut [BspRound], stats: &mut ProgramStats) {
-    // node -> (partner, min_to_self): invariant fact[a] = (b, m) iff
-    // fact[b] = (a, !m).
-    let mut fact: HashMap<u64, (u64, bool)> = HashMap::new();
-    for round in rounds.iter_mut() {
-        round.retain(|op| match *op {
-            Op::CompareExchange { a, b, min_to_a } => {
-                if fact.get(&a) == Some(&(b, min_to_a)) {
-                    stats.compare_exchanges_elided += 1;
-                    false
-                } else {
-                    for x in [a, b] {
-                        if let Some((p, _)) = fact.remove(&x) {
-                            fact.remove(&p);
-                        }
-                    }
-                    fact.insert(a, (b, min_to_a));
-                    fact.insert(b, (a, !min_to_a));
-                    true
-                }
-            }
-            Op::Resolve { node, .. } => {
-                if let Some((p, _)) = fact.remove(&node) {
-                    fact.remove(&p);
-                }
-                true
-            }
-            Op::Move { .. } => true,
-        });
-    }
-}
-
-/// Resource footprint of a round, for fusion safety: resident keys
-/// (read or written), transit slots (taken or written), directed edges.
-#[derive(Default)]
-struct RoundResources {
-    keys: std::collections::HashSet<u64>,
-    slots: std::collections::HashSet<(u64, u8)>,
-    edges: std::collections::HashSet<(u64, u64)>,
-}
-
-impl RoundResources {
-    fn of(round: &[Op]) -> Self {
-        let mut res = RoundResources::default();
-        for op in round {
-            match *op {
-                Op::CompareExchange { a, b, .. } => {
-                    res.keys.insert(a);
-                    res.keys.insert(b);
-                    res.edges.insert((a, b));
-                    res.edges.insert((b, a));
-                }
-                Op::Move {
-                    from,
-                    to,
-                    slot,
-                    from_key,
-                } => {
-                    if from_key {
-                        res.keys.insert(from);
-                    } else {
-                        res.slots.insert((from, slot));
-                    }
-                    res.slots.insert((to, slot));
-                    res.edges.insert((from, to));
-                }
-                Op::Resolve { node, slot, .. } => {
-                    res.keys.insert(node);
-                    res.slots.insert((node, slot));
-                }
-            }
-        }
-        res
-    }
-
-    fn disjoint(&self, other: &RoundResources) -> bool {
-        self.keys.is_disjoint(&other.keys)
-            && self.slots.is_disjoint(&other.slots)
-            && self.edges.is_disjoint(&other.edges)
-    }
-
-    fn absorb(&mut self, other: RoundResources) {
-        self.keys.extend(other.keys);
-        self.slots.extend(other.slots);
-        self.edges.extend(other.edges);
-    }
-}
-
-/// Merge adjacent rounds with disjoint resource footprints. Only
-/// *adjacent* rounds fuse (never across a conflicting round), so the
-/// sequential semantics are preserved exactly: disjointness means no op
-/// of the later round observes or perturbs anything the earlier round
-/// touched. A round whose input index is in `barriers` never fuses into
-/// its predecessor (certificate boundaries must stay between rounds).
-///
-/// Also returns the boundary map `out_before`, where `out_before[i]` is
-/// the number of output rounds built purely from input rounds `< i` —
-/// exact at every barrier index (barriers forbid the fusion that would
-/// blur the boundary).
-fn fuse_disjoint_rounds(
-    rounds: Vec<BspRound>,
-    barriers: &std::collections::HashSet<usize>,
-    stats: &mut ProgramStats,
-) -> (Vec<BspRound>, Vec<usize>) {
-    let mut out_before: Vec<usize> = Vec::with_capacity(rounds.len() + 1);
-    let mut fused: Vec<(BspRound, RoundResources)> = Vec::new();
-    for (i, round) in rounds.into_iter().enumerate() {
-        out_before.push(fused.len());
-        let res = RoundResources::of(&round);
-        if !barriers.contains(&i) {
-            if let Some((last, last_res)) = fused.last_mut() {
-                if last_res.disjoint(&res) {
-                    last.extend(round);
-                    last_res.absorb(res);
-                    stats.rounds_fused += 1;
-                    continue;
-                }
-            }
-        }
-        fused.push((round, res));
-    }
-    out_before.push(fused.len());
-    (
-        fused.into_iter().map(|(round, _)| round).collect(),
-        out_before,
-    )
 }
 
 /// A machine-model violation found by static validation
@@ -802,8 +548,7 @@ impl BspMachine {
     /// that property execute identically whether ops run in order or
     /// all read the start-of-round state, so no executor's result
     /// depends on op order within a round.
-    /// [`compile`] and [`CompiledProgram::optimized`] never produce
-    /// such rounds.
+    /// [`compile`] never produces such rounds.
     ///
     /// # Panics
     ///
@@ -954,13 +699,8 @@ impl BspMachine {
         if !occupied.iter().all(|t| !t[0] && !t[1]) {
             return Err(ProgramError::TransitLeftover);
         }
-        self.logger.log(|| {
-            let stats = program.stats();
-            Event::Validate {
-                rounds: program.rounds.len() as u64,
-                elided_cx: stats.compare_exchanges_elided,
-                fused: stats.rounds_fused,
-            }
+        self.logger.log(|| Event::Validate {
+            rounds: program.rounds.len() as u64,
         });
         Ok(ValidationReport {
             rounds: program.rounds.len(),
@@ -1056,6 +796,18 @@ impl<K: Ord + Clone + Send + Sync> Engine<K> for RecordingEngine {
 /// scheduled into edge-disjoint waves.
 #[must_use]
 pub fn compile(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) -> CompiledProgram {
+    compile_with_counters(factor, r, sorter).0
+}
+
+/// [`compile`], also returning the logical unit [`Counters`] of one
+/// sort — the same totals `network_sort` reports for this shape — which
+/// the recording replay accumulates anyway.
+pub(crate) fn compile_with_counters(
+    factor: &Graph,
+    r: usize,
+    sorter: &dyn Pg2Sorter,
+) -> (CompiledProgram, Counters) {
+    assert!(r >= 2, "the algorithm needs at least two dimensions");
     let shape = Shape::new(factor.n(), r);
     let mut engine = RecordingEngine::new(sorter, shape.n());
     // Replay on dummy data, stage by stage; the schedule is
@@ -1069,36 +821,26 @@ pub fn compile(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) -> CompiledProg
     let mut out = crate::netsort::NetSortOutcome::default();
     let mut rounds: Vec<BspRound> = Vec::new();
     let mut cert_points: Vec<CertPoint> = Vec::new();
-    let mut lowered = 0;
-    let lower_new_rounds =
-        |engine: &RecordingEngine, rounds: &mut Vec<BspRound>, lowered: &mut usize| {
-            for logical in &engine.recorded[*lowered..] {
-                lower_pair_round(factor, shape, &logical.pairs, rounds);
-            }
-            *lowered = engine.recorded.len();
-        };
-
     // Stage 2 (the initial parallel PG_2 sort round) is exactly the
     // 2-dimensional merge's base case; the recorded schedule is
     // identical to network_sort's.
-    network_merge(shape, &mut dummy, &mut engine, &dims[..2], &mut out);
-    lower_new_rounds(&engine, &mut rounds, &mut lowered);
-    cert_points.push(CertPoint {
-        round: rounds.len() as u64,
-        dims: 2,
-    });
-    for k in 3..=r {
+    for k in 2..=r {
+        let recorded = engine.recorded.len();
         network_merge(shape, &mut dummy, &mut engine, &dims[..k], &mut out);
-        lower_new_rounds(&engine, &mut rounds, &mut lowered);
+        for logical in &engine.recorded[recorded..] {
+            lower_pair_round(factor, shape, &logical.pairs, &mut rounds);
+        }
         cert_points.push(CertPoint {
             round: rounds.len() as u64,
             dims: k as u32,
         });
     }
+    // `network_sort` runs stage 2 as a bare sort round, not as a merge.
+    out.counters.merges -= 1;
 
     let mut program = CompiledProgram::from_rounds(shape, rounds);
     program.cert_points = cert_points;
-    program
+    (program, out.counters)
 }
 
 /// Lower one logical pair round. Adjacent pairs go into a single
@@ -1398,11 +1140,16 @@ mod tests {
         let back: CompiledProgram = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back.rounds(), program.rounds());
         assert_eq!(back.op_count(), program.op_count());
+        assert_eq!(back.cert_points(), program.cert_points());
         // The deserialized program still runs and sorts.
         let machine = BspMachine::new(&factor, 2);
         let mut keys: Vec<u32> = (0..9).rev().collect();
         machine.run(&mut keys, &back);
         assert!(snake_sorted(machine.shape(), &keys));
+        // Programs serialized with the former `stats` key still load.
+        let legacy = json.replacen('{', "{\"stats\":{\"rounds_before\":1},", 1);
+        let old: CompiledProgram = serde_json::from_str(&legacy).expect("legacy key ignored");
+        assert_eq!(old.round_ops(), program.round_ops());
     }
 
     #[test]
@@ -1425,122 +1172,7 @@ mod tests {
     }
 
     #[test]
-    fn optimized_program_sorts_identically_with_fewer_rounds() {
-        for (factor, r, sorter) in [
-            (factories::k2(), 4usize, &Hypercube2Sorter as &dyn Pg2Sorter),
-            (factories::star(4), 2, &OetSnakeSorter),
-            (factories::path(3), 3, &ShearSorter),
-        ] {
-            let program = compile(&factor, r, sorter);
-            let opt = program.optimized();
-            let stats = opt.stats();
-            // Bookkeeping identities: every dropped op and round is
-            // attributed to exactly one pass.
-            assert_eq!(
-                stats.ops_after,
-                stats.ops_before - stats.compare_exchanges_elided,
-                "{factor:?}"
-            );
-            assert_eq!(
-                stats.rounds_after,
-                stats.rounds_before - stats.empty_rounds_elided - stats.rounds_fused,
-                "{factor:?}"
-            );
-            assert!(stats.rounds_after <= stats.rounds_before);
-            // The optimized program still produces the exact serial
-            // configuration.
-            let machine = BspMachine::new(&factor, r);
-            let keys = lcg_keys(machine.shape().len(), 5);
-            let mut baseline = keys.clone();
-            machine.run(&mut baseline, &program);
-            let mut via_opt = keys;
-            machine.run(&mut via_opt, &opt);
-            assert_eq!(baseline, via_opt, "{factor:?} optimized serial");
-        }
-    }
-
-    #[test]
-    fn optimizer_elides_empty_parity_rounds() {
-        // N=2 transposition rounds have an empty parity class: the
-        // compiled program carries empty rounds which optimization
-        // removes.
-        let program = compile(&factories::k2(), 4, &Hypercube2Sorter);
-        let stats = program.optimized().stats();
-        assert!(
-            stats.empty_rounds_elided > 0,
-            "expected empty parity rounds on the 4-cube, got {stats:?}"
-        );
-    }
-
-    #[test]
-    fn optimizer_drops_repeated_compare_exchanges() {
-        let factor = factories::path(3);
-        let shape = Shape::new(3, 2);
-        let cx = Op::CompareExchange {
-            a: 0,
-            b: 1,
-            min_to_a: true,
-        };
-        // Same exchange twice with nothing touching nodes 0/1 between:
-        // the second is a provable no-op. A third with the opposite
-        // direction is NOT dropped (it can swap).
-        let program = CompiledProgram::from_rounds(
-            shape,
-            vec![
-                vec![cx],
-                vec![cx],
-                vec![Op::CompareExchange {
-                    a: 0,
-                    b: 1,
-                    min_to_a: false,
-                }],
-            ],
-        );
-        let opt = program.optimized();
-        assert_eq!(opt.stats().compare_exchanges_elided, 1);
-        assert_eq!(opt.op_count(), 2);
-        // Behaviour unchanged.
-        let machine = BspMachine::new(&factor, 2);
-        let mut a: Vec<u32> = vec![5, 3, 8, 1, 9, 2, 7, 4, 6];
-        let mut b = a.clone();
-        machine.run(&mut a, &program);
-        machine.run(&mut b, &opt);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn optimizer_fuses_disjoint_adjacent_rounds() {
-        let shape = Shape::new(3, 2);
-        // Two rounds touching disjoint node pairs fuse into one.
-        let program = CompiledProgram::from_rounds(
-            shape,
-            vec![
-                vec![Op::CompareExchange {
-                    a: 0,
-                    b: 1,
-                    min_to_a: true,
-                }],
-                vec![Op::CompareExchange {
-                    a: 3,
-                    b: 4,
-                    min_to_a: true,
-                }],
-            ],
-        );
-        let opt = program.optimized();
-        assert_eq!(opt.stats().rounds_fused, 1);
-        assert_eq!(opt.rounds(), 1);
-        assert_eq!(opt.op_count(), 2);
-        let machine = BspMachine::new(&factories::path(3), 2);
-        let mut keys: Vec<u32> = (0..9).rev().collect();
-        let mut expect = keys.clone();
-        machine.run(&mut keys, &opt);
-        machine.run(&mut expect, &program);
-        assert_eq!(keys, expect);
-    }
-
-    #[test]
-    fn validate_accepts_every_compiled_and_optimized_program() {
+    fn validate_accepts_every_compiled_program() {
         for (factor, r, sorter) in [
             (factories::path(4), 2usize, &ShearSorter as &dyn Pg2Sorter),
             (factories::star(4), 2, &OetSnakeSorter),
@@ -1554,7 +1186,6 @@ mod tests {
             let machine = BspMachine::new(&factor, r);
             let program = compile(&factor, r, sorter);
             machine.validate(&program);
-            machine.validate(&program.optimized());
         }
     }
 
@@ -1670,21 +1301,16 @@ mod tests {
     #[test]
     fn batches_emit_schedule_and_validate_events() {
         let factor = factories::path(3);
-        let program = compile(&factor, 2, &OetSnakeSorter).optimized();
+        let program = compile(&factor, 2, &OetSnakeSorter);
         let (machine, reader) = traced_machine(&factor, 2);
         let mut batch: Vec<Vec<u64>> = (0..5).map(|s| lcg_keys(9, s + 1)).collect();
-        let kernel = machine
-            .lower(&program)
-            .expect("optimized programs validate");
+        let kernel = machine.lower(&program).expect("compiled programs validate");
         let mut pool = crate::kernel::ScratchPool::new();
         machine.run_kernel_batch(&mut batch, &kernel, &mut pool);
         let events = drain(&machine, &reader);
-        let stats = program.stats();
         assert!(events.iter().any(|e| e.event
             == Event::Validate {
                 rounds: program.rounds() as u64,
-                elided_cx: stats.compare_exchanges_elided,
-                fused: stats.rounds_fused,
             }));
         let scheduled: Vec<Event> = events
             .iter()
@@ -1760,45 +1386,6 @@ mod tests {
                     c.dims as usize
                 ));
             }
-        }
-    }
-
-    #[test]
-    fn optimizer_remaps_certificates_to_surviving_boundaries() {
-        for (factor, r, sorter) in [
-            (factories::k2(), 4usize, &Hypercube2Sorter as &dyn Pg2Sorter),
-            (factories::star(4), 2, &OetSnakeSorter),
-            (factories::path(3), 3, &ShearSorter),
-        ] {
-            let program = compile(&factor, r, sorter);
-            let opt = program.optimized();
-            assert_eq!(opt.cert_points().len(), program.cert_points().len());
-            assert_eq!(
-                opt.cert_points().last().expect("nonempty").round as usize,
-                opt.rounds(),
-                "{factor:?}: final certificate must still close the program"
-            );
-            // Certified invariants hold at the remapped boundaries too.
-            let machine = BspMachine::new(&factor, r);
-            let mut keys = lcg_keys(machine.shape().len(), 29);
-            let (kernel, mut scratch) = stepper(&opt, keys.len());
-            let certs = opt.cert_points();
-            let mut next_cert = 0;
-            for ri in 0..kernel.rounds() {
-                while next_cert < certs.len() && certs[next_cert].round as usize == ri {
-                    assert!(
-                        crate::verify::subgraphs_snake_sorted(
-                            machine.shape(),
-                            &keys,
-                            certs[next_cert].dims as usize
-                        ),
-                        "{factor:?} r={r}: optimized certificate at round {ri} violated"
-                    );
-                    next_cert += 1;
-                }
-                crate::kernel::exec_kernel_round(&mut keys, &kernel, ri, &mut scratch);
-            }
-            assert!(crate::netsort::is_snake_sorted(machine.shape(), &keys));
         }
     }
 
@@ -1881,13 +1468,5 @@ mod tests {
             machine.try_validate(&program),
             Err(ProgramError::TransitLeftover)
         );
-    }
-
-    #[test]
-    fn stats_survive_serialization() {
-        let program = compile(&factories::k2(), 3, &Hypercube2Sorter).optimized();
-        let json = serde_json::to_string(&program).expect("serialize");
-        let back: CompiledProgram = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back.stats(), program.stats());
     }
 }

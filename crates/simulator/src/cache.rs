@@ -6,7 +6,9 @@
 //! — far more expensive than executing the result once. Repeated sorts
 //! on the same topology (parameter sweeps, batched throughput runs)
 //! should compile once; this cache makes that automatic and observable
-//! (hit/miss counters).
+//! (hit/miss counters). Each entry is one [`ProgramArtifact`]: the
+//! program, its kernel and vertical lowerings, and the per-sort
+//! accounting a [`crate::Machine`] reports, all built by a single miss.
 //!
 //! The key deliberately stores the factor's **full edge set**, not a
 //! hash of it: two factors with equal node and edge counts but
@@ -14,19 +16,23 @@
 //! collide, by construction. [`fingerprint`] offers a compact digest
 //! of the same identity for display and logging only.
 
-use crate::bsp::{compile, CompiledProgram};
+use crate::bsp::{compile_with_counters, CompiledProgram};
+use crate::engine::ExecutedEngine;
 use crate::kernel::KernelProgram;
 use crate::sorters::Pg2Sorter;
 use crate::vertical::{VerticalProgram, WORD_LANES};
+use pns_core::Counters;
 use pns_graph::Graph;
 use pns_obs::{Event, EventLogger, SpanClass, Stage, Tier};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Structural identity of a compiled program: everything [`compile`]'s
 /// output depends on, with the edge set stored verbatim.
+///
+/// [`compile`]: crate::bsp::compile
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ProgramKey {
     /// Factor node count.
@@ -40,30 +46,24 @@ pub struct ProgramKey {
     pub sorter: String,
     /// Normalized edge list: each edge as `(min, max)`, sorted.
     pub edges: Vec<(u32, u32)>,
-    /// Whether the cached program went through
-    /// [`CompiledProgram::optimized`].
-    pub optimized: bool,
 }
 
 impl ProgramKey {
     /// Key for the program sorting the product of `factor` with `r`
     /// dimensions using `sorter`.
     #[must_use]
-    pub fn new(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter, optimized: bool) -> Self {
+    pub fn new(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) -> Self {
         ProgramKey {
             n: factor.n(),
             r,
             sorter: sorter.id(),
             edges: normalized_edges(factor),
-            optimized,
         }
     }
 
     /// Compact digest of this key's structural identity (FNV-1a over
     /// node count, dimensions, sorter identity, and the normalized edge
-    /// set — `optimized` is excluded, so the digest names the topology,
-    /// not the compilation mode). Display/logging only: the cache
-    /// compares full keys.
+    /// set). Display/logging only: the cache compares full keys.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -97,7 +97,7 @@ pub(crate) fn normalized_edges(factor: &Graph) -> Vec<(u32, u32)> {
 /// fingerprint collisions cannot cause wrong programs to be served.
 #[must_use]
 pub fn fingerprint(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) -> u64 {
-    ProgramKey::new(factor, r, sorter, false).fingerprint()
+    ProgramKey::new(factor, r, sorter).fingerprint()
 }
 
 /// Point-in-time snapshot of a [`ProgramCache`]'s accounting, for
@@ -129,16 +129,17 @@ impl CacheStats {
     }
 
     /// Publish this snapshot into a metrics [`Registry`] under the
-    /// `pns_` namespace, labeled by which cache tier it came from
-    /// (`program`, `kernel`, or `vertical`).
+    /// `pns_` namespace. Hits and misses only grow, so they are
+    /// counters; the entry count falls on [`ProgramCache::clear`], so it
+    /// is a gauge.
     ///
     /// [`Registry`]: pns_obs::Registry
-    pub fn export_to(&self, registry: &mut pns_obs::Registry, tier: &str) {
-        let labels = &[("cache", tier)][..];
-        registry.set_counter_with("pns_program_cache_hits_total", labels, self.hits);
-        registry.set_counter_with("pns_program_cache_misses_total", labels, self.misses);
-        registry.set_counter_with("pns_program_cache_entries", labels, self.entries as u64);
-        registry.set_gauge_with("pns_program_cache_hit_ratio", labels, self.hit_ratio());
+    pub fn export_to(&self, registry: &mut pns_obs::Registry) {
+        registry.set_counter("pns_program_cache_hits_total", self.hits);
+        registry.set_counter("pns_program_cache_misses_total", self.misses);
+        #[allow(clippy::cast_precision_loss)]
+        registry.set_gauge("pns_program_cache_entries", self.entries as f64);
+        registry.set_gauge("pns_program_cache_hit_ratio", self.hit_ratio());
     }
 }
 
@@ -155,22 +156,30 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// Thread-safe cache of compiled programs with hit/miss accounting.
-/// Lowered kernels ([`KernelProgram`]) and their vertical commitments
-/// ([`VerticalProgram`]) are cached alongside, under the same keys,
-/// each with their own hit/miss counters — [`CacheStats`] and the
-/// program counters are untouched by kernel or vertical traffic.
+/// Everything one `(factor, r, sorter)` compiles to, built once per
+/// cache miss and shared by every machine on that shape. Opaque: a
+/// [`crate::Machine`] built from the cache exposes its parts.
+#[derive(Debug)]
+pub struct ProgramArtifact {
+    /// The compiled BSP schedule.
+    pub(crate) program: Arc<CompiledProgram>,
+    /// The program lowered to the flat kernel tier.
+    pub(crate) kernel: Arc<KernelProgram>,
+    /// The kernel committed to the bit-sliced vertical layout.
+    pub(crate) vertical: Arc<VerticalProgram>,
+    /// Logical unit counters of one sort on this shape — what
+    /// [`crate::network_sort`] reports, taken from the compile replay.
+    pub(crate) counters: Counters,
+    /// Steps one `PG_2` sort round costs under the executed engine.
+    pub(crate) s2_steps: u64,
+}
+
+/// Thread-safe cache of [`ProgramArtifact`]s with hit/miss accounting.
 #[derive(Debug, Default)]
 pub struct ProgramCache {
-    programs: RwLock<HashMap<ProgramKey, Arc<CompiledProgram>>>,
-    kernels: RwLock<HashMap<ProgramKey, Arc<KernelProgram>>>,
-    verticals: RwLock<HashMap<ProgramKey, Arc<VerticalProgram>>>,
+    entries: RwLock<HashMap<ProgramKey, Arc<ProgramArtifact>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    kernel_hits: AtomicU64,
-    kernel_misses: AtomicU64,
-    vertical_hits: AtomicU64,
-    vertical_misses: AtomicU64,
     logger: EventLogger,
 }
 
@@ -182,187 +191,28 @@ impl ProgramCache {
     }
 
     /// Emit one `CacheLookup` event per lookup into `logger`, carrying
-    /// hit/miss and the key's structural fingerprint.
+    /// hit/miss and the key's structural fingerprint, plus one
+    /// `KernelLowered` and one `VerticalLowered` event per miss.
     pub fn attach_logger(&mut self, logger: EventLogger) {
         self.logger = logger;
     }
 
-    /// The compiled program for `(factor, r, sorter)`, compiling on the
-    /// first request and returning the shared compiled copy afterwards.
+    /// The artifact for `(factor, r, sorter)`, built on the first
+    /// request and shared afterwards.
     ///
-    /// Robust to lock poisoning: a panic inside a previous compile never
-    /// wedges the cache (the map only ever holds fully built programs).
+    /// Robust to lock poisoning: a panic inside a previous build never
+    /// wedges the cache (the map only ever holds fully built artifacts).
     pub fn get_or_compile(
         &self,
         factor: &Graph,
         r: usize,
         sorter: &dyn Pg2Sorter,
-    ) -> Arc<CompiledProgram> {
-        self.lookup(ProgramKey::new(factor, r, sorter, false), || {
-            compile(factor, r, sorter)
-        })
-    }
-
-    /// As [`ProgramCache::get_or_compile`], but the cached program is
-    /// run through [`CompiledProgram::optimized`]. Cached separately
-    /// from the unoptimized program.
-    pub fn get_or_compile_optimized(
-        &self,
-        factor: &Graph,
-        r: usize,
-        sorter: &dyn Pg2Sorter,
-    ) -> Arc<CompiledProgram> {
-        self.lookup(ProgramKey::new(factor, r, sorter, true), || {
-            compile(factor, r, sorter).optimized()
-        })
-    }
-
-    /// The compiled program **and** its lowered kernel for
-    /// `(factor, r, sorter)`, compiling and lowering on the first
-    /// request. The program side behaves exactly like
-    /// [`ProgramCache::get_or_compile`] (one lookup, same counters); the
-    /// kernel side is cached under the same key with its own counters
-    /// and emits one `KernelLowered` event per lowering.
-    pub fn get_or_compile_kernel(
-        &self,
-        factor: &Graph,
-        r: usize,
-        sorter: &dyn Pg2Sorter,
-    ) -> (Arc<CompiledProgram>, Arc<KernelProgram>) {
-        let program = self.get_or_compile(factor, r, sorter);
-        let kernel = self.kernel_lookup(ProgramKey::new(factor, r, sorter, false), &program);
-        (program, kernel)
-    }
-
-    /// As [`ProgramCache::get_or_compile_kernel`], for the optimized
-    /// program ([`CompiledProgram::optimized`]). Cached separately from
-    /// the unoptimized kernel.
-    pub fn get_or_compile_kernel_optimized(
-        &self,
-        factor: &Graph,
-        r: usize,
-        sorter: &dyn Pg2Sorter,
-    ) -> (Arc<CompiledProgram>, Arc<KernelProgram>) {
-        let program = self.get_or_compile_optimized(factor, r, sorter);
-        let kernel = self.kernel_lookup(ProgramKey::new(factor, r, sorter, true), &program);
-        (program, kernel)
-    }
-
-    /// The compiled program, its lowered kernel, **and** the kernel's
-    /// vertical (bit-sliced) commitment for `(factor, r, sorter)`. The
-    /// program and kernel sides ride on
-    /// [`ProgramCache::get_or_compile_kernel`] — identical counter
-    /// deltas — while the vertical side is cached under the same key
-    /// with its own counters and emits one `VerticalLowered` event per
-    /// commitment.
-    pub fn get_or_compile_vertical(
-        &self,
-        factor: &Graph,
-        r: usize,
-        sorter: &dyn Pg2Sorter,
-    ) -> (
-        Arc<CompiledProgram>,
-        Arc<KernelProgram>,
-        Arc<VerticalProgram>,
-    ) {
-        let (program, kernel) = self.get_or_compile_kernel(factor, r, sorter);
-        let vertical = self.vertical_lookup(ProgramKey::new(factor, r, sorter, false), &kernel);
-        (program, kernel, vertical)
-    }
-
-    /// As [`ProgramCache::get_or_compile_vertical`], for the optimized
-    /// program. Cached separately from the unoptimized vertical.
-    pub fn get_or_compile_vertical_optimized(
-        &self,
-        factor: &Graph,
-        r: usize,
-        sorter: &dyn Pg2Sorter,
-    ) -> (
-        Arc<CompiledProgram>,
-        Arc<KernelProgram>,
-        Arc<VerticalProgram>,
-    ) {
-        let (program, kernel) = self.get_or_compile_kernel_optimized(factor, r, sorter);
-        let vertical = self.vertical_lookup(ProgramKey::new(factor, r, sorter, true), &kernel);
-        (program, kernel, vertical)
-    }
-
-    fn vertical_lookup(
-        &self,
-        key: ProgramKey,
-        kernel: &Arc<KernelProgram>,
-    ) -> Arc<VerticalProgram> {
+    ) -> Arc<ProgramArtifact> {
+        let key = ProgramKey::new(factor, r, sorter);
         if let Some(hit) = self
-            .verticals
+            .entries
             .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-        {
-            self.vertical_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        let lower_span = self
-            .logger
-            .span(Tier::Cache, Stage::LowerVertical, SpanClass::None);
-        let vertical = Arc::new(VerticalProgram::lower(Arc::clone(kernel)));
-        drop(lower_span);
-        self.vertical_misses.fetch_add(1, Ordering::Relaxed);
-        self.logger.log(|| Event::VerticalLowered {
-            rounds: vertical.rounds() as u64,
-            compare_rounds: kernel.compare_rounds() as u64,
-            route_rounds: kernel.route_rounds() as u64,
-            word_ops: vertical.word_ops() as u64,
-            lanes: WORD_LANES as u64,
-        });
-        self.verticals
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key, Arc::clone(&vertical));
-        vertical
-    }
-
-    fn kernel_lookup(&self, key: ProgramKey, program: &CompiledProgram) -> Arc<KernelProgram> {
-        if let Some(hit) = self
-            .kernels
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-        {
-            self.kernel_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        // Lower outside the lock, like `lookup` compiles outside it.
-        // Cached programs come from `compile`, whose output satisfies
-        // the machine-model invariants lowering assumes.
-        let lower_span = self
-            .logger
-            .span(Tier::Cache, Stage::LowerKernel, SpanClass::None);
-        let kernel = Arc::new(KernelProgram::lower(program));
-        drop(lower_span);
-        self.kernel_misses.fetch_add(1, Ordering::Relaxed);
-        self.logger.log(|| Event::KernelLowered {
-            rounds: kernel.rounds() as u64,
-            compare_rounds: kernel.compare_rounds() as u64,
-            route_rounds: kernel.route_rounds() as u64,
-            cx_pairs: kernel.cx_pair_count() as u64,
-            micro_ops: kernel.micro_op_count() as u64,
-        });
-        self.kernels
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key, Arc::clone(&kernel));
-        kernel
-    }
-
-    fn lookup(
-        &self,
-        key: ProgramKey,
-        build: impl FnOnce() -> CompiledProgram,
-    ) -> Arc<CompiledProgram> {
-        if let Some(hit) = self
-            .programs
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&key)
         {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -372,23 +222,71 @@ impl ProgramCache {
             });
             return Arc::clone(hit);
         }
-        // Compile outside the lock; a concurrent compile of the same key
-        // wastes work but stays correct (last insert wins, same program).
-        let compile_span = self
+        // Build outside the lock; a concurrent build of the same key
+        // wastes work but stays correct (last insert wins, same artifact).
+        let artifact = Arc::new(self.build(factor, r, sorter, &key));
+        self.entries
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key, Arc::clone(&artifact));
+        artifact
+    }
+
+    /// Compile, lower to the kernel and commit to the vertical layout,
+    /// one span and one event each.
+    fn build(
+        &self,
+        factor: &Graph,
+        r: usize,
+        sorter: &dyn Pg2Sorter,
+        key: &ProgramKey,
+    ) -> ProgramArtifact {
+        let span = self
             .logger
             .span(Tier::Cache, Stage::Compile, SpanClass::None);
-        let program = Arc::new(build());
-        drop(compile_span);
+        let (program, counters) = compile_with_counters(factor, r, sorter);
+        drop(span);
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.logger.log(|| Event::CacheLookup {
             hit: false,
             key_fingerprint: key.fingerprint(),
         });
-        self.programs
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key, Arc::clone(&program));
-        program
+
+        // `compile`'s output satisfies the machine-model invariants
+        // lowering assumes.
+        let span = self
+            .logger
+            .span(Tier::Cache, Stage::LowerKernel, SpanClass::None);
+        let kernel = Arc::new(KernelProgram::lower(&program));
+        drop(span);
+        self.logger.log(|| Event::KernelLowered {
+            rounds: kernel.rounds() as u64,
+            compare_rounds: kernel.compare_rounds() as u64,
+            route_rounds: kernel.route_rounds() as u64,
+            cx_pairs: kernel.cx_pair_count() as u64,
+            micro_ops: kernel.micro_op_count() as u64,
+        });
+
+        let span = self
+            .logger
+            .span(Tier::Cache, Stage::LowerVertical, SpanClass::None);
+        let vertical = Arc::new(VerticalProgram::lower(Arc::clone(&kernel)));
+        drop(span);
+        self.logger.log(|| Event::VerticalLowered {
+            rounds: vertical.rounds() as u64,
+            compare_rounds: kernel.compare_rounds() as u64,
+            route_rounds: kernel.route_rounds() as u64,
+            word_ops: vertical.word_ops() as u64,
+            lanes: WORD_LANES as u64,
+        });
+
+        ProgramArtifact {
+            s2_steps: ExecutedEngine::new(factor, program.shape(), sorter).s2_steps(),
+            program: Arc::new(program),
+            kernel,
+            vertical,
+            counters,
+        }
     }
 
     /// Requests served from the cache.
@@ -403,48 +301,6 @@ impl ProgramCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Kernel requests served from the cache.
-    #[must_use]
-    pub fn kernel_hits(&self) -> u64 {
-        self.kernel_hits.load(Ordering::Relaxed)
-    }
-
-    /// Kernel requests that had to lower.
-    #[must_use]
-    pub fn kernel_misses(&self) -> u64 {
-        self.kernel_misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct lowered kernels held.
-    #[must_use]
-    pub fn kernel_len(&self) -> usize {
-        self.kernels
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
-    }
-
-    /// Vertical requests served from the cache.
-    #[must_use]
-    pub fn vertical_hits(&self) -> u64 {
-        self.vertical_hits.load(Ordering::Relaxed)
-    }
-
-    /// Vertical requests that had to commit a layout.
-    #[must_use]
-    pub fn vertical_misses(&self) -> u64 {
-        self.vertical_misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct vertical programs held.
-    #[must_use]
-    pub fn vertical_len(&self) -> usize {
-        self.verticals
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
-    }
-
     /// Consistent snapshot of the accounting, for tables and logs.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
@@ -455,35 +311,26 @@ impl ProgramCache {
         }
     }
 
-    /// Number of distinct programs held.
+    /// Number of distinct artifacts held.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.programs
+        self.entries
             .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .len()
     }
 
-    /// `true` iff no program is cached.
+    /// `true` iff nothing is cached.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Drop all cached programs and kernels (counters keep their
-    /// totals).
+    /// Drop every cached artifact (counters keep their totals).
     pub fn clear(&self) {
-        self.programs
+        self.entries
             .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
-        self.kernels
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
-        self.verticals
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .clear();
     }
 }
@@ -510,15 +357,35 @@ mod tests {
     }
 
     #[test]
+    fn one_entry_holds_the_program_its_lowerings_and_its_accounting() {
+        let cache = ProgramCache::new();
+        let factor = factories::star(4);
+        let artifact = cache.get_or_compile(&factor, 3, &OetSnakeSorter);
+        assert_eq!(artifact.kernel.rounds(), artifact.program.rounds());
+        assert!(
+            Arc::ptr_eq(artifact.vertical.kernel(), &artifact.kernel),
+            "the vertical program wraps the cached kernel"
+        );
+        let shape = artifact.program.shape();
+        let mut keys: Vec<u32> = (0..shape.len() as u32).collect();
+        let mut unit = crate::ChargedEngine::new(crate::CostModel::custom("unit", 1, 1));
+        let expect = crate::network_sort(shape, &mut keys, &mut unit).counters;
+        assert_eq!(artifact.counters, expect);
+        assert_eq!(
+            artifact.s2_steps,
+            ExecutedEngine::new(&factor, shape, &OetSnakeSorter).s2_steps()
+        );
+    }
+
+    #[test]
     fn distinct_parameters_get_distinct_entries() {
         let cache = ProgramCache::new();
         let factor = factories::path(3);
         let _ = cache.get_or_compile(&factor, 2, &ShearSorter);
         let _ = cache.get_or_compile(&factor, 3, &ShearSorter); // other r
         let _ = cache.get_or_compile(&factor, 2, &OetSnakeSorter); // other sorter
-        let _ = cache.get_or_compile_optimized(&factor, 2, &ShearSorter); // optimized
-        assert_eq!(cache.misses(), 4);
-        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.misses(), 3);
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]
@@ -535,7 +402,11 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (0, 2), "both compile");
         assert_eq!(cache.len(), 2);
         assert!(!Arc::ptr_eq(&a1, &b1));
-        assert_ne!(a1.rounds(), b1.rounds(), "genuinely different programs");
+        assert_ne!(
+            a1.program.rounds(),
+            b1.program.rounds(),
+            "genuinely different programs"
+        );
         // Repeat requests hit their own entry, not each other's.
         let a2 = cache.get_or_compile(&factor, 2, &OetSnakeSorter);
         let b2 = cache.get_or_compile(&factor, 2, &MultiwayNSorter);
@@ -563,7 +434,10 @@ mod tests {
         let t = cache.get_or_compile(&factor, 2, &tuned);
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
         assert_eq!(cache.len(), 2);
-        assert!(t.rounds() > p.rounds(), "extra blocks add rounds");
+        assert!(
+            t.program.rounds() > p.program.rounds(),
+            "extra blocks add rounds"
+        );
         assert_ne!(
             fingerprint(&factor, 2, &plain),
             fingerprint(&factor, 2, &tuned)
@@ -576,8 +450,8 @@ mod tests {
         // must differ because the edge sets differ.
         let path = factories::path(4);
         let star = factories::star(4);
-        let kp = ProgramKey::new(&path, 2, &OetSnakeSorter, false);
-        let ks = ProgramKey::new(&star, 2, &OetSnakeSorter, false);
+        let kp = ProgramKey::new(&path, 2, &OetSnakeSorter);
+        let ks = ProgramKey::new(&star, 2, &OetSnakeSorter);
         assert_eq!(kp.n, ks.n);
         assert_eq!(kp.edges.len(), ks.edges.len());
         assert_ne!(kp, ks, "wiring must be part of the key");
@@ -588,7 +462,7 @@ mod tests {
         assert_eq!(cache.misses(), 2, "no collision: both compile");
         // The star program relays through the hub; the path program
         // does not — structurally different schedules.
-        assert_ne!(p_path.op_count(), p_star.op_count());
+        assert_ne!(p_path.program.op_count(), p_star.program.op_count());
     }
 
     #[test]
@@ -635,48 +509,67 @@ mod tests {
         let mut cache = ProgramCache::new();
         cache.attach_logger(pns_obs::EventLogger::new(Box::new(sink)));
         let factor = factories::path(3);
-        let _ = cache.get_or_compile(&factor, 2, &ShearSorter);
+        let artifact = cache.get_or_compile(&factor, 2, &ShearSorter);
         let _ = cache.get_or_compile(&factor, 2, &ShearSorter);
         // Cache lookups run on the caller's thread; drain its buffer.
         cache.logger.flush();
         let events: Vec<_> = reader.events().iter().map(|e| e.event).collect();
         let fp = fingerprint(&factor, 2, &ShearSorter);
-        let lookups: Vec<_> = events
+        let (kernel, vertical) = (&artifact.kernel, &artifact.vertical);
+        let logged: Vec<_> = events
             .iter()
             .copied()
-            .filter(|e| matches!(e, pns_obs::Event::CacheLookup { .. }))
+            .filter(|e| !matches!(e, Event::SpanEnter { .. } | Event::SpanExit { .. }))
             .collect();
         assert_eq!(
-            lookups,
+            logged,
             vec![
-                pns_obs::Event::CacheLookup {
+                Event::CacheLookup {
                     hit: false,
                     key_fingerprint: fp
                 },
-                pns_obs::Event::CacheLookup {
+                Event::KernelLowered {
+                    rounds: artifact.program.rounds() as u64,
+                    compare_rounds: kernel.compare_rounds() as u64,
+                    route_rounds: kernel.route_rounds() as u64,
+                    cx_pairs: kernel.cx_pair_count() as u64,
+                    micro_ops: kernel.micro_op_count() as u64,
+                },
+                Event::VerticalLowered {
+                    rounds: vertical.rounds() as u64,
+                    compare_rounds: kernel.compare_rounds() as u64,
+                    route_rounds: kernel.route_rounds() as u64,
+                    word_ops: vertical.word_ops() as u64,
+                    lanes: WORD_LANES as u64,
+                },
+                Event::CacheLookup {
                     hit: true,
                     key_fingerprint: fp
                 },
-            ]
+            ],
+            "the miss builds every tier once; the hit only looks up"
         );
-        // The miss compiled under a Cache/Compile span; the hit did not.
+        // The miss compiled and lowered under Cache spans; the hit did
+        // not open any.
         let opens: Vec<_> = events
             .iter()
             .filter_map(|e| match e {
-                pns_obs::Event::SpanEnter { tier, stage, .. } => Some((*tier, *stage)),
+                Event::SpanEnter { tier, stage, .. } => Some((*tier, *stage)),
                 _ => None,
             })
             .collect();
         let closes = events
             .iter()
-            .filter(|e| matches!(e, pns_obs::Event::SpanExit { .. }))
+            .filter(|e| matches!(e, Event::SpanExit { .. }))
             .count();
         assert_eq!(
             opens,
-            vec![(Tier::Cache.code(), Stage::Compile.code())],
-            "exactly one compile span, on the miss"
+            [Stage::Compile, Stage::LowerKernel, Stage::LowerVertical]
+                .map(|stage| (Tier::Cache.code(), stage.code()))
+                .to_vec(),
+            "exactly one span per layer, on the miss"
         );
-        assert_eq!(closes, 1);
+        assert_eq!(closes, 3);
     }
 
     #[test]
@@ -692,121 +585,33 @@ mod tests {
     }
 
     #[test]
-    fn kernel_requests_share_one_lowering_and_leave_program_stats_alone() {
+    fn entry_count_exports_as_a_gauge_that_falls_on_clear() {
         let cache = ProgramCache::new();
         let factor = factories::path(3);
-        let (p1, k1) = cache.get_or_compile_kernel(&factor, 2, &ShearSorter);
-        let (p2, k2) = cache.get_or_compile_kernel(&factor, 2, &ShearSorter);
-        assert!(Arc::ptr_eq(&p1, &p2), "program comes from the same entry");
-        assert!(Arc::ptr_eq(&k1, &k2), "kernel is lowered exactly once");
-        assert_eq!(k1.rounds(), p1.rounds());
-        assert_eq!((cache.kernel_hits(), cache.kernel_misses()), (1, 1));
-        assert_eq!(cache.kernel_len(), 1);
-        // Kernel traffic rides on the same program lookups — the
-        // program-side stats see exactly one miss then one hit, the
-        // same deltas plain `get_or_compile` would produce.
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                hits: 1,
-                misses: 1,
-                entries: 1
-            }
-        );
-        // Optimized kernels are distinct cache entries.
-        let (_p3, k3) = cache.get_or_compile_kernel_optimized(&factor, 2, &ShearSorter);
-        assert!(!Arc::ptr_eq(&k1, &k3));
-        assert_eq!(cache.kernel_len(), 2);
+        let _ = cache.get_or_compile(&factor, 2, &ShearSorter);
+        let _ = cache.get_or_compile(&factor, 3, &ShearSorter);
+        let _ = cache.get_or_compile(&factor, 2, &ShearSorter);
+        let mut registry = pns_obs::Registry::new();
+        cache.stats().export_to(&mut registry);
+        assert!(registry
+            .prometheus_text()
+            .contains("pns_program_cache_entries 2\n"));
         cache.clear();
-        assert_eq!(cache.kernel_len(), 0, "clear drops kernels too");
-    }
-
-    #[test]
-    fn vertical_requests_share_one_commitment_and_leave_other_stats_alone() {
-        let cache = ProgramCache::new();
-        let factor = factories::path(3);
-        let (p1, k1, v1) = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
-        let (p2, _k2, v2) = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
-        assert!(Arc::ptr_eq(&p1, &p2), "program comes from the same entry");
-        assert!(Arc::ptr_eq(&v1, &v2), "layout is committed exactly once");
+        cache.stats().export_to(&mut registry);
+        let text = registry.prometheus_text();
         assert!(
-            Arc::ptr_eq(v1.kernel(), &k1),
-            "the vertical program wraps the cached kernel"
+            text.contains("# TYPE pns_program_cache_entries gauge\n"),
+            "{text}"
         );
-        assert_eq!((cache.vertical_hits(), cache.vertical_misses()), (1, 1));
-        assert_eq!(cache.vertical_len(), 1);
-        // Vertical traffic rides on the kernel (and thus program)
-        // lookups — both see exactly the plain one-miss-one-hit deltas.
-        assert_eq!((cache.kernel_hits(), cache.kernel_misses()), (1, 1));
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                hits: 1,
-                misses: 1,
-                entries: 1
-            }
+        assert!(text.contains("pns_program_cache_entries 0\n"), "{text}");
+        assert!(
+            text.contains("# TYPE pns_program_cache_hits_total counter\n"),
+            "{text}"
         );
-        // Optimized verticals are distinct cache entries.
-        let (_p3, _k3, v3) = cache.get_or_compile_vertical_optimized(&factor, 2, &ShearSorter);
-        assert!(!Arc::ptr_eq(&v1, &v3));
-        assert_eq!(cache.vertical_len(), 2);
-        cache.clear();
-        assert_eq!(cache.vertical_len(), 0, "clear drops verticals too");
-    }
-
-    #[test]
-    fn vertical_misses_emit_one_lowered_event() {
-        let (sink, reader) = pns_obs::MemorySink::with_capacity(16);
-        let mut cache = ProgramCache::new();
-        cache.attach_logger(pns_obs::EventLogger::new(Box::new(sink)));
-        let factor = factories::path(3);
-        let (_program, kernel, vertical) = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
-        let _ = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
-        cache.logger.flush();
-        let lowered: Vec<_> = reader
-            .events()
-            .iter()
-            .map(|e| e.event)
-            .filter(|e| e.kind() == "vertical_lowered")
-            .collect();
-        assert_eq!(
-            lowered,
-            vec![pns_obs::Event::VerticalLowered {
-                rounds: vertical.rounds() as u64,
-                compare_rounds: kernel.compare_rounds() as u64,
-                route_rounds: kernel.route_rounds() as u64,
-                word_ops: vertical.word_ops() as u64,
-                lanes: WORD_LANES as u64,
-            }],
-            "the second request is a hit and stays silent"
-        );
-    }
-
-    #[test]
-    fn kernel_misses_emit_one_lowered_event() {
-        let (sink, reader) = pns_obs::MemorySink::with_capacity(16);
-        let mut cache = ProgramCache::new();
-        cache.attach_logger(pns_obs::EventLogger::new(Box::new(sink)));
-        let factor = factories::path(3);
-        let (program, kernel) = cache.get_or_compile_kernel(&factor, 2, &ShearSorter);
-        let _ = cache.get_or_compile_kernel(&factor, 2, &ShearSorter);
-        cache.logger.flush();
-        let lowered: Vec<_> = reader
-            .events()
-            .iter()
-            .map(|e| e.event)
-            .filter(|e| e.kind() == "kernel_lowered")
-            .collect();
-        assert_eq!(
-            lowered,
-            vec![pns_obs::Event::KernelLowered {
-                rounds: program.rounds() as u64,
-                compare_rounds: kernel.compare_rounds() as u64,
-                route_rounds: kernel.route_rounds() as u64,
-                cx_pairs: kernel.cx_pair_count() as u64,
-                micro_ops: kernel.micro_op_count() as u64,
-            }],
-            "the second request is a hit and stays silent"
+        assert!(text.contains("pns_program_cache_hits_total 1\n"), "{text}");
+        assert!(
+            text.contains("pns_program_cache_misses_total 2\n"),
+            "{text}"
         );
     }
 }

@@ -13,7 +13,7 @@
 //!   bit per pair, indexed globally). Execution is a single tight loop —
 //!   no per-op discriminant, no bounds-checked enum payloads.
 //! * **Route rounds** (any round containing a `Move` or `Resolve`)
-//!   become a packed [`MicroOp`] array in **original op order**, so the
+//!   become a packed `MicroOp` array in **original op order**, so the
 //!   micro-op index within the round equals the op index within the
 //!   interpreted round — this is what keeps `FaultSite { round, op }`
 //!   keys *path-independent* (a `FaultPlan` fires at the same sites on
@@ -40,7 +40,7 @@ use crate::bsp::{BspMachine, CertPoint, CompiledProgram, Op, ProgramError};
 /// What a lowered round contains, so dispatch is one `match` per round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundClass {
-    /// No operations (padding the optimizer did not elide).
+    /// No operations (an empty transposition parity class).
     Empty,
     /// Only compare-exchanges: runs as a tight pair-list loop.
     Compare,

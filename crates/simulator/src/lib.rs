@@ -53,10 +53,9 @@ pub mod vertical;
 pub use batch::{BatchPools, BatchRun, Ladder};
 pub use block::{block_sort, BlockEngine, SortedBlock};
 pub use bsp::{
-    compile, BspMachine, CertPoint, CompiledProgram, Op, ProgramError, ProgramStats,
-    ValidationReport,
+    compile, BspMachine, CertPoint, CompiledProgram, Op, ProgramError, ValidationReport,
 };
-pub use cache::{fingerprint, CacheStats, ProgramCache, ProgramKey};
+pub use cache::{fingerprint, CacheStats, ProgramArtifact, ProgramCache, ProgramKey};
 pub use cost::CostModel;
 pub use engine::{ChargedEngine, Engine, ExecutedEngine, Pg2Instance, PAR_THRESHOLD};
 pub use fault::{Detection, FaultError, FaultReport, InjectedFault, Retry};

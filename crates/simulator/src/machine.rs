@@ -3,7 +3,7 @@
 
 use crate::batch::{BatchPools, Ladder};
 use crate::bsp::{BspMachine, CompiledProgram};
-use crate::cache::ProgramCache;
+use crate::cache::{ProgramArtifact, ProgramCache};
 use crate::cost::CostModel;
 use crate::engine::{ChargedEngine, ExecutedEngine};
 use crate::fault::{FaultError, FaultReport};
@@ -80,22 +80,12 @@ enum EngineKind {
     Compiled(CompiledKind),
 }
 
-/// A machine backed by a compiled BSP program (possibly shared through
-/// a [`ProgramCache`]).
+/// A machine backed by a compiled BSP program shared through a
+/// [`ProgramCache`]: sorts run its kernel, large batches its vertical
+/// form, and every report carries its counters.
 struct CompiledKind {
     bsp: BspMachine,
-    program: Arc<CompiledProgram>,
-    /// The program lowered to the flat kernel tier (shared through the
-    /// same cache) — the form sorts actually execute.
-    kernel: Arc<KernelProgram>,
-    /// The kernel committed to the bit-sliced vertical layout (same
-    /// cache) — the form large batches execute.
-    vertical: Arc<VerticalProgram>,
-    /// Logical unit counters for one sort on this shape — a pure
-    /// function of the shape, captured once at construction.
-    counters: pns_core::Counters,
-    /// Steps one `PG_2` sort round costs under the executed engine.
-    s2_steps: u64,
+    artifact: Arc<ProgramArtifact>,
     logger: EventLogger,
 }
 
@@ -106,8 +96,8 @@ impl CompiledKind {
     /// does not survive lowering, so those both read zero.
     fn outcome(&self) -> NetSortOutcome {
         NetSortOutcome {
-            counters: self.counters,
-            steps: self.program.rounds() as u64,
+            counters: self.artifact.counters,
+            steps: self.artifact.program.rounds() as u64,
             sort_steps: 0,
             oet_steps: 0,
         }
@@ -125,11 +115,11 @@ impl CompiledKind {
             return;
         }
         self.logger.log(|| Event::S2Unit {
-            units: self.counters.s2_units * sorts,
+            units: self.artifact.counters.s2_units * sorts,
             width: 0,
         });
         self.logger.log(|| Event::RouteUnit {
-            units: self.counters.route_units * sorts,
+            units: self.artifact.counters.route_units * sorts,
             width: 0,
         });
     }
@@ -168,10 +158,10 @@ impl Machine {
     }
 
     /// A machine that executes a compiled BSP program, fetched from (or
-    /// compiled into) `cache` together with its lowered kernel.
-    /// Repeated construction for the same `(factor, r, sorter)` reuses
-    /// both — no recompilation, no re-lowering, observable via the
-    /// cache's hit counters.
+    /// compiled into) `cache` together with its lowerings and per-sort
+    /// counters. Repeated construction for the same `(factor, r,
+    /// sorter)` reuses all of it — no recompilation, no re-lowering, no
+    /// replay — observable via the cache's hit counters.
     ///
     /// Sorts run through [`BspMachine::run_kernel`]; batches
     /// ([`Machine::sort_batch`]) go through the batch dispatcher
@@ -185,25 +175,16 @@ impl Machine {
         sorter: &dyn Pg2Sorter,
         cache: &ProgramCache,
     ) -> Self {
-        let (program, kernel, vertical) = cache.get_or_compile_vertical(factor, r, sorter);
-        Machine::with_program(factor, r, sorter, program, kernel, vertical)
-    }
-
-    /// As [`Machine::compiled`], but the program is optimized
-    /// ([`CompiledProgram::optimized`]): empty rounds elided, idempotent
-    /// compare-exchanges dropped, disjoint adjacent rounds fused. The
-    /// reported step count is the optimized round count, generally
-    /// *below* the executed engine's.
-    #[must_use]
-    pub fn compiled_optimized(
-        factor: &Graph,
-        r: usize,
-        sorter: &dyn Pg2Sorter,
-        cache: &ProgramCache,
-    ) -> Self {
-        let (program, kernel, vertical) =
-            cache.get_or_compile_vertical_optimized(factor, r, sorter);
-        Machine::with_program(factor, r, sorter, program, kernel, vertical)
+        assert!(pns_graph::is_connected(factor), "factor must be connected");
+        Machine {
+            shape: Shape::new(factor.n(), r),
+            factor_name: factor.name().to_owned(),
+            engine: EngineKind::Compiled(CompiledKind {
+                bsp: BspMachine::new(factor, r),
+                artifact: cache.get_or_compile(factor, r, sorter),
+                logger: EventLogger::disabled(),
+            }),
+        }
     }
 
     /// As [`Machine::executed`], with the sorter resolved from a
@@ -228,58 +209,12 @@ impl Machine {
         Machine::compiled(factor, r, choice.resolve(factor), cache)
     }
 
-    /// As [`Machine::compiled_optimized`], with the sorter resolved from
-    /// a [`SorterChoice`].
-    #[must_use]
-    pub fn compiled_optimized_with(
-        factor: &Graph,
-        r: usize,
-        choice: SorterChoice,
-        cache: &ProgramCache,
-    ) -> Self {
-        Machine::compiled_optimized(factor, r, choice.resolve(factor), cache)
-    }
-
-    fn with_program(
-        factor: &Graph,
-        r: usize,
-        sorter: &dyn Pg2Sorter,
-        program: Arc<CompiledProgram>,
-        kernel: Arc<KernelProgram>,
-        vertical: Arc<VerticalProgram>,
-    ) -> Self {
-        assert!(pns_graph::is_connected(factor), "factor must be connected");
-        let shape = Shape::new(factor.n(), r);
-        assert_eq!(program.shape(), shape, "cached program shape mismatch");
-        assert_eq!(kernel.shape(), shape, "cached kernel shape mismatch");
-        assert_eq!(vertical.shape(), shape, "cached vertical shape mismatch");
-        // The logical unit counters are engine-independent (pure control
-        // flow of the algorithm): capture them with a unit-cost replay.
-        let mut dummy: Vec<u32> = (0..shape.len() as u32).collect();
-        let mut counter_engine = ChargedEngine::new(CostModel::custom("unit", 1, 1));
-        let counters = network_sort(shape, &mut dummy, &mut counter_engine).counters;
-        let s2_steps = ExecutedEngine::new(factor, shape, sorter).s2_steps();
-        Machine {
-            shape,
-            factor_name: factor.name().to_owned(),
-            engine: EngineKind::Compiled(CompiledKind {
-                bsp: BspMachine::new(factor, r),
-                program,
-                kernel,
-                vertical,
-                counters,
-                s2_steps,
-                logger: EventLogger::disabled(),
-            }),
-        }
-    }
-
     /// The compiled program backing this machine, if it is a compiled
     /// machine (for stats inspection and direct BSP runs).
     #[must_use]
     pub fn program(&self) -> Option<&Arc<CompiledProgram>> {
         match &self.engine {
-            EngineKind::Compiled(c) => Some(&c.program),
+            EngineKind::Compiled(c) => Some(&c.artifact.program),
             _ => None,
         }
     }
@@ -289,7 +224,7 @@ impl Machine {
     #[must_use]
     pub fn kernel(&self) -> Option<&Arc<KernelProgram>> {
         match &self.engine {
-            EngineKind::Compiled(c) => Some(&c.kernel),
+            EngineKind::Compiled(c) => Some(&c.artifact.kernel),
             _ => None,
         }
     }
@@ -300,7 +235,7 @@ impl Machine {
     #[must_use]
     pub fn vertical(&self) -> Option<&Arc<VerticalProgram>> {
         match &self.engine {
-            EngineKind::Compiled(c) => Some(&c.vertical),
+            EngineKind::Compiled(c) => Some(&c.artifact.vertical),
             _ => None,
         }
     }
@@ -350,7 +285,7 @@ impl Machine {
         match &self.engine {
             EngineKind::Charged(e) => e.cost().s2_steps,
             EngineKind::Executed(e) => e.s2_steps(),
-            EngineKind::Compiled(c) => c.s2_steps,
+            EngineKind::Compiled(c) => c.artifact.s2_steps,
         }
     }
 
@@ -407,7 +342,8 @@ impl Machine {
             }
             (EngineKind::Compiled(c), checked) => {
                 let mut scratch = ExecScratch::new();
-                c.bsp.run_kernel(&mut keys, &c.kernel, &mut scratch);
+                c.bsp
+                    .run_kernel(&mut keys, &c.artifact.kernel, &mut scratch);
                 // The per-stage invariant of `network_sort_checked` does
                 // not survive lowering; checked mode verifies the final
                 // configuration instead.
@@ -477,7 +413,7 @@ impl Machine {
         let mut pools = BatchPools::new();
         let run = crate::batch::run(
             &c.bsp,
-            &c.vertical,
+            &c.artifact.vertical,
             &mut batch,
             |i| i as u64,
             ladder,
@@ -708,7 +644,6 @@ mod tests {
         let mut first = Machine::compiled(&factor, 2, &ShearSorter, &cache);
         let mut second = Machine::compiled(&factor, 2, &ShearSorter, &cache);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert_eq!((cache.kernel_hits(), cache.kernel_misses()), (1, 1));
         assert!(
             Arc::ptr_eq(first.kernel().unwrap(), second.kernel().unwrap()),
             "machines share one lowered kernel"
@@ -727,7 +662,6 @@ mod tests {
             .collect();
         let mut machines = [
             Machine::compiled(&factor, 3, &ShearSorter, &cache),
-            Machine::compiled_optimized(&factor, 3, &ShearSorter, &cache),
             Machine::executed(&factor, 3, &ShearSorter),
             Machine::charged(&factor, 3, CostModel::paper_grid(3)),
         ];
@@ -758,22 +692,6 @@ mod tests {
                 expected: 9,
                 got: 8
             }
-        );
-    }
-
-    #[test]
-    fn compiled_optimized_machine_reports_fewer_or_equal_steps() {
-        let cache = crate::cache::ProgramCache::new();
-        let factor = factories::k2();
-        let keys: Vec<u64> = (0..32).rev().collect();
-        let mut plain = Machine::compiled(&factor, 5, &Hypercube2Sorter, &cache);
-        let mut opt = Machine::compiled_optimized(&factor, 5, &Hypercube2Sorter, &cache);
-        let rp = plain.sort(keys.clone()).unwrap();
-        let ro = opt.sort_checked(keys).unwrap();
-        assert_eq!(rp.keys, ro.keys);
-        assert!(
-            ro.steps() < rp.steps(),
-            "optimizer must shrink the 5-cube program"
         );
     }
 

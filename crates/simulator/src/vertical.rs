@@ -57,9 +57,8 @@ pub const VERTICAL_MIN_LANES: usize = WORD_LANES;
 /// the kernel's flat round/pair/micro-op tables directly, which is what
 /// guarantees round and op indices — and with them fault sites and
 /// certificate boundaries — stay aligned across all three tiers. The
-/// type exists so the [`crate::cache::ProgramCache`] can track vertical
-/// adoption separately and so callers cannot accidentally hand a
-/// horizontal scratch to a vertical run.
+/// type exists so callers cannot accidentally hand a horizontal scratch
+/// to a vertical run.
 #[derive(Debug, Clone)]
 pub struct VerticalProgram {
     kernel: Arc<KernelProgram>,

@@ -234,18 +234,17 @@ proptest! {
     #[test]
     fn batches_degrade_gracefully_and_never_panic(
         n in 3usize..6, lanes in 1usize..70, plan_seed in any::<u64>(),
-        seed in any::<u64>(), rate in 1u64..50_000, optimized in any::<bool>(),
+        seed in any::<u64>(), rate in 1u64..50_000,
         policy in 0u32..9, retries in 0u32..2,
     ) {
         let (max_retries, recheck_depth) = (policy % 3, policy / 3);
         // Random relabeled factors exercise relay moves (Route rounds
         // with transit traffic) through the dispatcher's fault ladder.
-        // Whatever the plan, policy, lowering, or lane count (including
+        // Whatever the plan, policy, or lane count (including
         // batches wide enough for the vertical tier when clean), every
         // lane must come back equal to the clean `run` of its input.
         let factor = Machine::prepare_factor(&factories::random_connected(n, 2, seed));
         let program = compile(&factor, 2, &OetSnakeSorter);
-        let program = if optimized { program.optimized() } else { program };
         let machine = BspMachine::new(&factor, 2);
         let vertical = machine
             .lower_vertical(&program)

@@ -6,10 +6,9 @@
 //!
 //! * the charged engine (`network_sort` + `ChargedEngine`),
 //! * the executed engine (`network_sort` + `ExecutedEngine`),
-//! * the serial BSP machine (`BspMachine::run`), the reference, on the
-//!   raw and the *optimized* program,
+//! * the serial BSP machine (`BspMachine::run`), the reference,
 //! * the flat kernel tier (`run_kernel` and `run_kernel_batch`) and the
-//!   vertical column tier (`run_vertical_batch`), on both lowerings,
+//!   vertical column tier (`run_vertical_batch`),
 //! * the batch dispatcher (`batch::run`) on both of its clean tiers,
 //!
 //! and require all configurations to be elementwise identical and
@@ -67,15 +66,13 @@ fn differential_case(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) {
     let ctx = format!("factor={} r={r}", factor.name());
 
     let program = compile(factor, r, sorter);
-    let optimized = program.optimized();
     let bsp = BspMachine::new(factor, r);
     let kernel = bsp.lower(&program).expect("compiled programs validate");
-    let kernel_opt = bsp.lower(&optimized).expect("optimized programs validate");
 
     let bank = input_bank(len);
     let mut serials: Vec<Vec<u64>> = Vec::new();
     // One scratch for every kernel run in the case: reuse across inputs
-    // and programs is exactly the steady state the kernel tier promises.
+    // is exactly the steady state the kernel tier promises.
     let mut scratch = ExecScratch::new();
     let mut radix = LsbRadixSorter::new();
     for (label, input) in &bank {
@@ -98,17 +95,10 @@ fn differential_case(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) {
             "{ctx} {label}: serial vs std oracle"
         );
 
-        // The optimized program through the reference interpreter.
-        let mut opt = input.clone();
-        bsp.run(&mut opt, &optimized);
-        assert_eq!(opt, serial, "{ctx} {label}: serial run on optimized");
-
-        // Kernel tier, raw and optimized.
-        for (name, k) in [("kernel", &kernel), ("kernel-opt", &kernel_opt)] {
-            let mut kser = input.clone();
-            bsp.run_kernel(&mut kser, k, &mut scratch);
-            assert_eq!(kser, serial, "{ctx} {label}: run_kernel on {name}");
-        }
+        // Kernel tier.
+        let mut kser = input.clone();
+        bsp.run_kernel(&mut kser, &kernel, &mut scratch);
+        assert_eq!(kser, serial, "{ctx} {label}: run_kernel");
 
         // Executed engine (real comparator programs + real routing).
         let mut exec = input.clone();
@@ -125,52 +115,45 @@ fn differential_case(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) {
         serials.push(serial);
     }
 
-    // Batched kernel executor, one scratch pool across both lowerings.
-    let mut pool = ScratchPool::new();
-    for (name, k) in [("kernel", &kernel), ("kernel-opt", &kernel_opt)] {
-        let mut batch: Vec<Vec<u64>> = bank.iter().map(|(_, input)| input.clone()).collect();
-        bsp.run_kernel_batch(&mut batch, k, &mut pool);
-        for ((label, _), (got, want)) in bank.iter().zip(batch.iter().zip(&serials)) {
-            assert_eq!(got, want, "{ctx} {label}: run_kernel_batch on {name}");
-        }
+    // Batched kernel executor.
+    let mut batch: Vec<Vec<u64>> = bank.iter().map(|(_, input)| input.clone()).collect();
+    bsp.run_kernel_batch(&mut batch, &kernel, &mut ScratchPool::new());
+    for ((label, _), (got, want)) in bank.iter().zip(batch.iter().zip(&serials)) {
+        assert_eq!(got, want, "{ctx} {label}: run_kernel_batch");
     }
 
-    // Vertical column tier: the whole bank as one word block, raw and
-    // optimized lowerings, one pool across both.
-    let mut vpool = VerticalPool::new();
-    for (name, prog) in [("program", &program), ("optimized", &optimized)] {
-        let vertical = bsp
-            .lower_vertical(prog)
-            .expect("compiled programs validate");
-        let mut batch: Vec<Vec<u64>> = bank.iter().map(|(_, input)| input.clone()).collect();
-        bsp.run_vertical_batch(&mut batch, &vertical, &mut vpool);
-        for ((label, _), (got, want)) in bank.iter().zip(batch.iter().zip(&serials)) {
-            assert_eq!(got, want, "{ctx} {label}: run_vertical_batch on {name}");
-        }
+    // Vertical column tier: the whole bank as one word block.
+    let vertical = bsp
+        .lower_vertical(&program)
+        .expect("compiled programs validate");
+    let mut batch: Vec<Vec<u64>> = bank.iter().map(|(_, input)| input.clone()).collect();
+    bsp.run_vertical_batch(&mut batch, &vertical, &mut VerticalPool::new());
+    for ((label, _), (got, want)) in bank.iter().zip(batch.iter().zip(&serials)) {
+        assert_eq!(got, want, "{ctx} {label}: run_vertical_batch");
+    }
 
-        // The batch dispatcher on both clean tiers: the bank alone is
-        // below a word of lanes (kernel tier), the bank repeated to a
-        // full word and a tail is above it (vertical tier).
-        let mut pools = BatchPools::new();
-        for (copies, tier) in [(1, Tier::Kernel), (9, Tier::Vertical)] {
-            let mut batch: Vec<Vec<u64>> = (0..copies)
-                .flat_map(|_| bank.iter().map(|(_, input)| input.clone()))
-                .collect();
-            let run = batch::run(
-                &bsp,
-                &vertical,
-                &mut batch,
-                |i| i as u64,
-                &Ladder::clean(),
-                &mut pools,
-            );
-            assert_eq!(run.tier, tier, "{ctx}: dispatcher tier for {copies} copies");
-            assert!(run.lanes.iter().all(Result::is_ok), "{ctx}: clean lanes");
-            for (i, got) in batch.iter().enumerate() {
-                let (label, _) = &bank[i % bank.len()];
-                let want = &serials[i % bank.len()];
-                assert_eq!(got, want, "{ctx} {label}: dispatcher lane {i} on {name}");
-            }
+    // The batch dispatcher on both clean tiers: the bank alone is below
+    // a word of lanes (kernel tier), the bank repeated to a full word
+    // and a tail is above it (vertical tier).
+    let mut pools = BatchPools::new();
+    for (copies, tier) in [(1, Tier::Kernel), (9, Tier::Vertical)] {
+        let mut batch: Vec<Vec<u64>> = (0..copies)
+            .flat_map(|_| bank.iter().map(|(_, input)| input.clone()))
+            .collect();
+        let run = batch::run(
+            &bsp,
+            &vertical,
+            &mut batch,
+            |i| i as u64,
+            &Ladder::clean(),
+            &mut pools,
+        );
+        assert_eq!(run.tier, tier, "{ctx}: dispatcher tier for {copies} copies");
+        assert!(run.lanes.iter().all(Result::is_ok), "{ctx}: clean lanes");
+        for (i, got) in batch.iter().enumerate() {
+            let (label, _) = &bank[i % bank.len()];
+            let want = &serials[i % bank.len()];
+            assert_eq!(got, want, "{ctx} {label}: dispatcher lane {i}");
         }
     }
 }
@@ -245,8 +228,8 @@ fn differential_de_bruijn() {
 
 #[test]
 fn differential_star_relays() {
-    // Star graphs force relay hops (no Hamiltonian path), the hardest
-    // case for the optimizer's move-chain reasoning.
+    // Star graphs force relay hops (no Hamiltonian path): every tier's
+    // move/resolve handling is in play.
     differential_case(&factories::star(4), 2, &OetSnakeSorter);
     differential_case(&factories::star(5), 2, &OetSnakeSorter);
 }

@@ -4,11 +4,14 @@
 
 use product_sort::algo::{multiway_merge_sort, StdBaseSorter};
 use product_sort::graph::{factories, Graph};
+use product_sort::order::radix::Shape;
 use product_sort::sim::{
-    CostModel, Hypercube2Sorter, Machine, OetSnakeSorter, Pg2Sorter, ShearSorter,
+    candidates, network_sort, ChargedEngine, CostModel, ExecutedEngine, Hypercube2Sorter, Machine,
+    OetSnakeSorter, Pg2Sorter, ProgramCache, ShearSorter,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn random_keys(len: u64, seed: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -148,4 +151,58 @@ fn repeat_sorting_is_idempotent() {
         once.keys, twice.keys,
         "sorting a sorted configuration moves keys"
     );
+}
+
+/// A compiled machine's counters come from its cached artifact, not from
+/// a replay: they must equal a unit-charged `network_sort` on every
+/// shape and sorter, merges included, and a second machine on the same
+/// cache must share the first one's program, kernel and vertical form.
+#[test]
+fn compiled_machines_report_the_unit_charged_counters() {
+    let zoo = [
+        (factories::path(3), 2usize),
+        (factories::path(3), 3),
+        (factories::star(4), 2),
+        (factories::star(5), 3),
+        (factories::petersen(), 2),
+        (factories::k2(), 8),
+        (factories::complete(3), 3),
+    ];
+    for (factor, r) in zoo {
+        let shape = Shape::new(factor.n(), r);
+        let keys: Vec<u32> = (0..shape.len() as u32).rev().collect();
+        let mut unit = ChargedEngine::new(CostModel::custom("unit", 1, 1));
+        let expect = network_sort(shape, &mut keys.clone(), &mut unit).counters;
+        for sorter in candidates() {
+            if !sorter.supports(factor.n()) {
+                continue;
+            }
+            let ctx = format!("{}^{r} / {}", factor.name(), sorter.name());
+            let cache = ProgramCache::new();
+            let mut first = Machine::compiled(&factor, r, sorter, &cache);
+            let report = first.sort(keys.clone()).expect("one key per node");
+            assert!(report.is_snake_sorted(), "{ctx}");
+            assert_eq!(report.outcome.counters, expect, "{ctx}");
+            assert_eq!(
+                first.s2_steps(),
+                ExecutedEngine::new(&factor, shape, sorter).s2_steps(),
+                "{ctx}"
+            );
+            let second = Machine::compiled(&factor, r, sorter, &cache);
+            assert!(
+                Arc::ptr_eq(first.program().unwrap(), second.program().unwrap()),
+                "{ctx}"
+            );
+            assert!(
+                Arc::ptr_eq(first.kernel().unwrap(), second.kernel().unwrap()),
+                "{ctx}"
+            );
+            assert!(
+                Arc::ptr_eq(first.vertical().unwrap(), second.vertical().unwrap()),
+                "{ctx}"
+            );
+            let stats = cache.stats();
+            assert_eq!((stats.hits, stats.misses), (1, 1), "{ctx}");
+        }
+    }
 }
