@@ -7,8 +7,8 @@
 //! Groups share one set of compiled + lowered fixtures (built once in a
 //! `OnceLock`) so criterion timing never includes compilation and every
 //! group benches the *same* program bytes. The only intentional
-//! exception is `program_cache/compile_cold`, whose subject *is* the
-//! compile.
+//! exceptions are `program_cache/compile_cold` and
+//! `program_cache/compile_cold_petersen3`, whose subject *is* the compile.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pns_graph::{factories, Graph};
@@ -16,7 +16,7 @@ use pns_simulator::batch::{self, BatchPools, Ladder};
 use pns_simulator::bsp::{BspMachine, CompiledProgram};
 use pns_simulator::{
     compile, BitScratch, ExecScratch, Hypercube2Sorter, KernelProgram, Machine, ProgramCache,
-    ScratchPool, ShearSorter, VerticalPool, VerticalProgram,
+    ScratchPool, ShearSorter, SorterChoice, VerticalPool, VerticalProgram,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -415,6 +415,13 @@ fn bench_cache(c: &mut Criterion) {
     // Intentionally *not* a fixture: the subject is the compile itself.
     group.bench_function("compile_cold", |b| {
         b.iter(|| black_box(compile(&factor, r, &Hypercube2Sorter)));
+    });
+    // The raw Petersen labeling is not Hamiltonian, so this compile
+    // relays many pairs along multi-hop routes; `k2` has none.
+    let petersen = factories::petersen();
+    let sorter = SorterChoice::Auto.resolve(&petersen);
+    group.bench_function("compile_cold_petersen3", |b| {
+        b.iter(|| black_box(compile(&petersen, 3, sorter)));
     });
     let cache = ProgramCache::new();
     let _warm = cache.get_or_compile(&factor, r, &Hypercube2Sorter);

@@ -27,7 +27,6 @@ use pns_graph::Graph;
 use pns_obs::{Event, EventLogger, SpanClass, Stage, Tier, ROUND_OBS_MIN_OPS};
 use pns_order::radix::Shape;
 use pns_order::Direction;
-use std::collections::HashMap;
 
 /// One machine operation within a synchronous round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -195,7 +194,7 @@ pub enum ProgramError {
     KeyReadAndWritten {
         /// Offending round index.
         round: usize,
-        /// Offending node.
+        /// The lowest offending node of the round.
         node: u64,
     },
     /// A transit slot index outside `0..2`.
@@ -330,6 +329,11 @@ pub struct BspMachine {
 struct NetworkView {
     factor: Graph,
     shape: Shape,
+    /// `strides[i] = N^i` for every dimension `i`.
+    strides: Vec<u64>,
+    /// The factor's maximum degree: directed-edge ids reserve this many
+    /// neighbour slots per node and dimension.
+    max_degree: usize,
 }
 
 impl NetworkView {
@@ -337,25 +341,81 @@ impl NetworkView {
         NetworkView {
             factor: factor.clone(),
             shape,
+            strides: (0..shape.r()).map(|i| shape.stride(i)).collect(),
+            max_degree: (0..factor.n() as u32)
+                .map(|v| factor.degree(v))
+                .max()
+                .unwrap_or(0),
         }
     }
 
-    /// `true` iff `(a, b)` is an edge of the product network.
-    fn has_edge(&self, a: u64, b: u64) -> bool {
-        if a == b {
-            return false;
+    /// The one dimension at which `a` and `b` differ, with their digits
+    /// there; `None` unless both are nodes and differ in exactly one
+    /// digit. A single-digit difference `|a - b|` lies in
+    /// `[N^d, (N-1)·N^d]`, so the dimension is read off the stride table.
+    fn split(&self, a: u64, b: u64) -> Option<(usize, u64, u64)> {
+        if a == b || a.max(b) >= self.shape.len() {
+            return None;
         }
-        let mut differing = None;
-        for i in 0..self.shape.r() {
-            let (da, db) = (self.shape.digit(a, i), self.shape.digit(b, i));
-            if da != db {
-                if differing.is_some() {
-                    return false;
-                }
-                differing = Some((da, db));
-            }
+        let diff = a.abs_diff(b);
+        let dim = self.strides.partition_point(|&s| s <= diff) - 1;
+        let stride = self.strides[dim];
+        let n = self.shape.n() as u64;
+        let (da, db) = (a / stride % n, b / stride % n);
+        (a - da * stride + db * stride == b).then_some((dim, da, db))
+    }
+
+    /// Number of distinct ids [`NetworkView::edge`] can return.
+    fn edge_ids(&self) -> usize {
+        self.shape.len() as usize * self.shape.r() * self.max_degree
+    }
+
+    /// The id of the directed product-network edge `a -> b`, or `None`
+    /// if `(a, b)` is not an edge.
+    fn edge(&self, a: u64, b: u64) -> Option<usize> {
+        let (dim, da, db) = self.split(a, b)?;
+        let slot = self
+            .factor
+            .neighbors(da as u32)
+            .binary_search(&(db as u32))
+            .ok()?;
+        Some((a as usize * self.shape.r() + dim) * self.max_degree + slot)
+    }
+}
+
+/// Per-round membership marks over `0..len`, emptied in O(1) at each
+/// round by advancing an epoch instead of clearing or reallocating.
+struct RoundMarks {
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl RoundMarks {
+    fn new(len: usize) -> Self {
+        RoundMarks {
+            stamp: vec![0; len],
+            epoch: 1,
         }
-        differing.is_some_and(|(da, db)| self.factor.has_edge(da as u32, db as u32))
+    }
+
+    /// Forget every mark.
+    fn next_round(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Mark `i`; `false` if it was already marked this round.
+    fn insert(&mut self, i: usize) -> bool {
+        let fresh = self.stamp[i] != self.epoch;
+        self.stamp[i] = self.epoch;
+        fresh
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.stamp[i] == self.epoch
     }
 }
 
@@ -406,13 +466,12 @@ impl BspMachine {
         let mut transit: Vec<[Option<K>; 2]> = vec![[None, None]; n_nodes];
         // Per-round discipline tracking, hoisted out of the loop and
         // cleared per round so validation scratch is allocated once.
-        let mut key_touched = vec![false; n_nodes];
-        let mut slot_written: HashMap<(u64, u8), ()> = HashMap::new();
-        let mut edge_used: HashMap<(u64, u64), ()> = HashMap::new();
+        let mut key_touched = RoundMarks::new(n_nodes);
+        let mut slot_written = RoundMarks::new(2 * n_nodes);
+        let mut edge_used = RoundMarks::new(self.network.edge_ids());
         // Reads of transit slots happen against the *previous* round's
         // state: buffer incoming values and commit after the round.
         let mut incoming: Vec<(u64, u8, K)> = Vec::new();
-        let mut cleared: Vec<(u64, u8)> = Vec::new();
 
         for (ri, round) in program.rounds.iter().enumerate() {
             self.logger.log(|| Event::RoundStart {
@@ -425,34 +484,32 @@ impl BspMachine {
                 Stage::Round,
                 SpanClass::None,
             );
-            key_touched.fill(false);
-            slot_written.clear();
-            edge_used.clear();
-            cleared.clear();
-
-            let touch_key = |v: u64, key_touched: &mut [bool]| {
+            key_touched.next_round();
+            slot_written.next_round();
+            edge_used.next_round();
+            let mut touch_key = |v: u64| {
                 assert!(
-                    !key_touched[v as usize],
+                    key_touched.insert(v as usize),
                     "round {ri}: node {v} key accessed twice"
                 );
-                key_touched[v as usize] = true;
             };
 
             for op in round {
                 match *op {
                     Op::CompareExchange { a, b, min_to_a } => {
-                        assert!(
-                            self.network.has_edge(a, b),
-                            "round {ri}: compare-exchange ({a},{b}) is not an edge"
-                        );
-                        for (x, y) in [(a, b), (b, a)] {
+                        let (Some(ab), Some(ba)) =
+                            (self.network.edge(a, b), self.network.edge(b, a))
+                        else {
+                            panic!("round {ri}: compare-exchange ({a},{b}) is not an edge");
+                        };
+                        for (x, y, e) in [(a, b, ab), (b, a, ba)] {
                             assert!(
-                                edge_used.insert((x, y), ()).is_none(),
+                                edge_used.insert(e),
                                 "round {ri}: edge ({x}->{y}) used twice"
                             );
                         }
-                        touch_key(a, &mut key_touched);
-                        touch_key(b, &mut key_touched);
+                        touch_key(a);
+                        touch_key(b);
                         let (ai, bi) = (a as usize, b as usize);
                         let a_has_min = keys[ai] <= keys[bi];
                         if a_has_min != min_to_a {
@@ -466,12 +523,11 @@ impl BspMachine {
                         from_key,
                     } => {
                         assert!(slot < 2, "round {ri}: bad slot {slot}");
+                        let Some(e) = self.network.edge(from, to) else {
+                            panic!("round {ri}: move ({from}->{to}) is not an edge");
+                        };
                         assert!(
-                            self.network.has_edge(from, to),
-                            "round {ri}: move ({from}->{to}) is not an edge"
-                        );
-                        assert!(
-                            edge_used.insert((from, to), ()).is_none(),
+                            edge_used.insert(e),
                             "round {ri}: edge ({from}->{to}) used twice"
                         );
                         let payload =
@@ -482,11 +538,10 @@ impl BspMachine {
                                     transit[from as usize][slot as usize].take().unwrap_or_else(
                                         || panic!("round {ri}: node {from} slot {slot} empty"),
                                     );
-                                cleared.push((from, slot));
                                 v
                             };
                         assert!(
-                            slot_written.insert((to, slot), ()).is_none(),
+                            slot_written.insert(2 * to as usize + slot as usize),
                             "round {ri}: node {to} slot {slot} written twice"
                         );
                         incoming.push((to, slot, payload));
@@ -497,7 +552,7 @@ impl BspMachine {
                         keep_min,
                     } => {
                         assert!(slot < 2, "round {ri}: bad slot {slot}");
-                        touch_key(node, &mut key_touched);
+                        touch_key(node);
                         let arrived =
                             transit[node as usize][slot as usize]
                                 .take()
@@ -525,7 +580,6 @@ impl BspMachine {
                 );
                 *dst = Some(payload);
             }
-            let _ = &cleared;
             self.logger.log(|| Event::RoundEnd { round: ri as u64 });
         }
         assert!(
@@ -566,7 +620,10 @@ impl BspMachine {
     ///
     /// # Errors
     ///
-    /// Returns the first machine-model violation in program order.
+    /// Returns the first machine-model violation in program order. The
+    /// two checks that need the whole round follow its ops: a key both
+    /// read and written reports the lowest such node, and a write into a
+    /// slot still occupied reports the first such write.
     pub fn try_validate(
         &self,
         program: &CompiledProgram,
@@ -576,23 +633,42 @@ impl BspMachine {
         }
         let n_nodes = self.shape.len() as usize;
         let mut occupied = vec![[false; 2]; n_nodes];
+        // Per-round sets, allocated once: node keys read and written,
+        // transit slots (`2 * node + slot`) taken and written, and
+        // directed edges used. The lists keep this round's reads, takes
+        // and writes in program order.
+        let mut key_read = RoundMarks::new(n_nodes);
+        let mut key_written = RoundMarks::new(n_nodes);
+        let mut slot_taken = RoundMarks::new(2 * n_nodes);
+        let mut slot_written = RoundMarks::new(2 * n_nodes);
+        let mut edge_used = RoundMarks::new(self.network.edge_ids());
+        let mut reads: Vec<u64> = Vec::new();
+        let mut taken: Vec<(u64, u8)> = Vec::new();
+        let mut written: Vec<(u64, u8)> = Vec::new();
+        let slot_id = |v: u64, slot: u8| 2 * v as usize + slot as usize;
         for (ri, round) in program.rounds.iter().enumerate() {
-            let mut key_read: std::collections::HashSet<u64> = std::collections::HashSet::new();
-            let mut key_written: std::collections::HashSet<u64> = std::collections::HashSet::new();
-            let mut slot_taken: std::collections::HashSet<(u64, u8)> =
-                std::collections::HashSet::new();
-            let mut slot_written: std::collections::HashSet<(u64, u8)> =
-                std::collections::HashSet::new();
-            let mut edge_used: std::collections::HashSet<(u64, u64)> =
-                std::collections::HashSet::new();
+            for marks in [
+                &mut key_read,
+                &mut key_written,
+                &mut slot_taken,
+                &mut slot_written,
+                &mut edge_used,
+            ] {
+                marks.next_round();
+            }
+            reads.clear();
+            taken.clear();
+            written.clear();
             for op in round {
                 match *op {
                     Op::CompareExchange { a, b, .. } => {
-                        if !self.network.has_edge(a, b) {
+                        let (Some(ab), Some(ba)) =
+                            (self.network.edge(a, b), self.network.edge(b, a))
+                        else {
                             return Err(ProgramError::CompareNotEdge { round: ri, a, b });
-                        }
-                        for (x, y) in [(a, b), (b, a)] {
-                            if !edge_used.insert((x, y)) {
+                        };
+                        for (x, y, e) in [(a, b, ab), (b, a, ba)] {
+                            if !edge_used.insert(e) {
                                 return Err(ProgramError::EdgeReused {
                                     round: ri,
                                     from: x,
@@ -601,7 +677,7 @@ impl BspMachine {
                             }
                         }
                         for v in [a, b] {
-                            if !key_written.insert(v) {
+                            if !key_written.insert(v as usize) {
                                 return Err(ProgramError::KeyReused { round: ri, node: v });
                             }
                         }
@@ -615,14 +691,14 @@ impl BspMachine {
                         if slot >= 2 {
                             return Err(ProgramError::BadSlot { round: ri, slot });
                         }
-                        if !self.network.has_edge(from, to) {
+                        let Some(e) = self.network.edge(from, to) else {
                             return Err(ProgramError::MoveNotEdge {
                                 round: ri,
                                 from,
                                 to,
                             });
-                        }
-                        if !edge_used.insert((from, to)) {
+                        };
+                        if !edge_used.insert(e) {
                             return Err(ProgramError::EdgeReused {
                                 round: ri,
                                 from,
@@ -630,7 +706,9 @@ impl BspMachine {
                             });
                         }
                         if from_key {
-                            key_read.insert(from);
+                            if key_read.insert(from as usize) {
+                                reads.push(from);
+                            }
                         } else {
                             if !occupied[from as usize][slot as usize] {
                                 return Err(ProgramError::SlotEmpty {
@@ -639,21 +717,23 @@ impl BspMachine {
                                     slot,
                                 });
                             }
-                            if !slot_taken.insert((from, slot)) {
+                            if !slot_taken.insert(slot_id(from, slot)) {
                                 return Err(ProgramError::SlotTakenTwice {
                                     round: ri,
                                     node: from,
                                     slot,
                                 });
                             }
+                            taken.push((from, slot));
                         }
-                        if !slot_written.insert((to, slot)) {
+                        if !slot_written.insert(slot_id(to, slot)) {
                             return Err(ProgramError::SlotWrittenTwice {
                                 round: ri,
                                 node: to,
                                 slot,
                             });
                         }
+                        written.push((to, slot));
                     }
                     Op::Resolve { node, slot, .. } => {
                         if slot >= 2 {
@@ -666,26 +746,32 @@ impl BspMachine {
                                 slot,
                             });
                         }
-                        if !slot_taken.insert((node, slot)) {
+                        if !slot_taken.insert(slot_id(node, slot)) {
                             return Err(ProgramError::SlotTakenTwice {
                                 round: ri,
                                 node,
                                 slot,
                             });
                         }
-                        if !key_written.insert(node) {
+                        taken.push((node, slot));
+                        if !key_written.insert(node as usize) {
                             return Err(ProgramError::KeyReused { round: ri, node });
                         }
                     }
                 }
             }
-            if let Some(&v) = key_read.intersection(&key_written).next() {
-                return Err(ProgramError::KeyReadAndWritten { round: ri, node: v });
+            if let Some(node) = reads
+                .iter()
+                .copied()
+                .filter(|&v| key_written.contains(v as usize))
+                .min()
+            {
+                return Err(ProgramError::KeyReadAndWritten { round: ri, node });
             }
-            for &(v, s) in &slot_taken {
+            for &(v, s) in &taken {
                 occupied[v as usize][s as usize] = false;
             }
-            for &(v, s) in &slot_written {
+            for &(v, s) in &written {
                 if occupied[v as usize][s as usize] {
                     return Err(ProgramError::SlotOccupied {
                         round: ri,
@@ -710,65 +796,213 @@ impl BspMachine {
     }
 }
 
-/// One logical pair round captured from the algorithm: simultaneous
-/// compare-exchanges, possibly between non-adjacent nodes.
-#[derive(Debug, Clone)]
-struct LogicalRound {
-    /// `(a, b, min_to_a)` triples, node-disjoint.
-    pairs: Vec<(u64, u64, bool)>,
+/// A relayed compare: its path occupies `hops + 1` entries of the
+/// lowerer's node buffer from `start`.
+#[derive(Clone, Copy)]
+struct Relay {
+    start: usize,
+    hops: usize,
+    min_to_a: bool,
 }
 
-/// Engine that records the algorithm's logical pair rounds instead of
-/// costing them. Data is still updated (cheaply) so the replay stays
-/// well-formed; obliviousness guarantees the recorded schedule is valid
-/// for every input.
+/// Lowers the algorithm's logical pair rounds — simultaneous
+/// compare-exchanges, possibly between non-adjacent nodes — to
+/// edge-aligned rounds, one pair at a time as the replay produces them.
+struct Lowerer {
+    net: NetworkView,
+    /// Factor routes, one entry per ordered label pair `src * n + dst`:
+    /// [`pns_graph::shortest_path`]'s path (empty when unreachable),
+    /// found by one BFS on first use and kept for the whole compile.
+    routes: Vec<Option<Vec<u32>>>,
+    rounds: Vec<BspRound>,
+    /// Pairs of the logical round being lowered.
+    pairs: usize,
+    /// Its adjacent pairs, as one compare-exchange round.
+    adjacent: BspRound,
+    /// Its relayed pairs, their paths stored back to back in `path_nodes`.
+    relays: Vec<Relay>,
+    path_nodes: Vec<u64>,
+    /// Nodes claimed by the wave being scheduled.
+    claimed: RoundMarks,
+}
+
+impl Lowerer {
+    fn new(factor: &Graph, shape: Shape) -> Self {
+        Lowerer {
+            net: NetworkView::new(factor, shape),
+            routes: vec![None; factor.n() * factor.n()],
+            rounds: Vec::new(),
+            pairs: 0,
+            adjacent: Vec::new(),
+            relays: Vec::new(),
+            path_nodes: Vec::new(),
+            claimed: RoundMarks::new(shape.len() as usize),
+        }
+    }
+
+    /// Add one compare of the current logical round. An adjacent pair
+    /// joins the round's compare-exchange round; a non-adjacent one is
+    /// relayed along the shortest path inside its factor copy.
+    fn pair(&mut self, a: u64, b: u64, min_to_a: bool) {
+        self.pairs += 1;
+        // Pairs differ in exactly one dimension (sorter programs are
+        // checked by `validate_program`; transposition partners differ
+        // in one group digit). A degenerate `(a, a)` pair (a sorter bug)
+        // is a semantic no-op — comparing a key with itself never
+        // swaps — so it lowers to nothing rather than panicking.
+        let Some((dim, da, db)) = self.net.split(a, b) else {
+            debug_assert_eq!(a, b, "logical pairs differ in exactly one digit");
+            return;
+        };
+        let factor = &self.net.factor;
+        let path = self.routes[da as usize * factor.n() + db as usize].get_or_insert_with(|| {
+            pns_graph::shortest_path(factor, da as u32, db as u32).unwrap_or_default()
+        });
+        match path.len() {
+            // Unreachable for the connected factors every machine
+            // constructor validates; on a disconnected factor the pair
+            // cannot be routed at all — drop it (the program's final
+            // certificate will expose the unsorted result) instead of
+            // panicking mid-compile.
+            0 => {}
+            2 => self.adjacent.push(Op::CompareExchange { a, b, min_to_a }),
+            len => {
+                let stride = self.net.strides[dim];
+                let base = a - da * stride;
+                self.relays.push(Relay {
+                    start: self.path_nodes.len(),
+                    hops: len - 1,
+                    min_to_a,
+                });
+                self.path_nodes
+                    .extend(path.iter().map(|&f| base + u64::from(f) * stride));
+            }
+        }
+    }
+
+    /// Close the current logical round: its compare-exchange round, then
+    /// its relays grouped into waves whose paths are node-disjoint (so
+    /// every relay node has both transit slots free for its one pair's
+    /// forward and backward streams), each wave taking `max path length`
+    /// move rounds plus a shared resolve round.
+    fn finish_round(&mut self) {
+        if std::mem::take(&mut self.pairs) == 0 {
+            // The synchronous round elapses even when this parity class
+            // is empty (matching the executed engine's accounting).
+            self.rounds.push(Vec::new());
+            return;
+        }
+        if !self.adjacent.is_empty() {
+            self.rounds.push(std::mem::take(&mut self.adjacent));
+        }
+        let mut remaining: Vec<Relay> = std::mem::take(&mut self.relays);
+        while !remaining.is_empty() {
+            self.claimed.next_round();
+            let mut wave = Vec::new();
+            let mut rest = Vec::new();
+            for relay in remaining {
+                let path = &self.path_nodes[relay.start..=relay.start + relay.hops];
+                if path.iter().any(|&v| self.claimed.contains(v as usize)) {
+                    rest.push(relay);
+                } else {
+                    for &v in path {
+                        self.claimed.insert(v as usize);
+                    }
+                    wave.push(relay);
+                }
+            }
+            self.emit_wave(&wave);
+            remaining = rest;
+        }
+        self.path_nodes.clear();
+    }
+
+    /// Emit the move/resolve rounds for one node-disjoint wave of relays.
+    fn emit_wave(&mut self, wave: &[Relay]) {
+        let max_hops = wave.iter().map(|r| r.hops).max().unwrap_or(0);
+        // Hop rounds: slot 0 carries a→b, slot 1 carries b→a,
+        // simultaneously (full-duplex edges; the machine checks
+        // per-direction capacity).
+        for h in 0..max_hops {
+            let mut round: BspRound = Vec::new();
+            for relay in wave.iter().filter(|r| h < r.hops) {
+                let path = &self.path_nodes[relay.start..=relay.start + relay.hops];
+                let hops = relay.hops;
+                round.push(Op::Move {
+                    from: path[h],
+                    to: path[h + 1],
+                    slot: 0,
+                    from_key: h == 0,
+                });
+                round.push(Op::Move {
+                    from: path[hops - h],
+                    to: path[hops - h - 1],
+                    slot: 1,
+                    from_key: h == 0,
+                });
+            }
+            self.rounds.push(round);
+        }
+        // Resolve round: both endpoints decide locally.
+        let mut resolve: BspRound = Vec::new();
+        for relay in wave {
+            resolve.push(Op::Resolve {
+                node: self.path_nodes[relay.start],
+                slot: 1,
+                keep_min: relay.min_to_a,
+            });
+            resolve.push(Op::Resolve {
+                node: self.path_nodes[relay.start + relay.hops],
+                slot: 0,
+                keep_min: !relay.min_to_a,
+            });
+        }
+        if !resolve.is_empty() {
+            self.rounds.push(resolve);
+        }
+    }
+}
+
+/// Engine that lowers the algorithm's pair rounds as the replay
+/// produces them, instead of costing them. It never reads the keys: the
+/// algorithm is oblivious, so the schedule is the same for every input.
 struct RecordingEngine {
+    /// The sorter's comparator program for one `PG_2`.
     program: Vec<Vec<(u32, u32)>>,
-    recorded: Vec<LogicalRound>,
+    lowerer: Lowerer,
 }
 
 impl RecordingEngine {
-    fn new(sorter: &dyn Pg2Sorter, n: usize) -> Self {
-        let program = sorter.program(n);
-        crate::sorters::validate_program(n, &program);
+    fn new(factor: &Graph, shape: Shape, sorter: &dyn Pg2Sorter) -> Self {
+        let program = sorter.program(shape.n());
+        crate::sorters::validate_program(shape.n(), &program);
         RecordingEngine {
             program,
-            recorded: Vec::new(),
+            lowerer: Lowerer::new(factor, shape),
         }
     }
 }
 
 impl<K: Ord + Clone + Send + Sync> Engine<K> for RecordingEngine {
-    fn sort_round(&mut self, keys: &mut [K], subgraphs: &[Pg2Instance]) -> u64 {
+    fn sort_round(&mut self, _keys: &mut [K], subgraphs: &[Pg2Instance]) -> u64 {
         for round in &self.program {
-            let mut pairs = Vec::with_capacity(round.len() * subgraphs.len());
             for sg in subgraphs {
+                let min_to_a = sg.dir == Direction::Ascending;
                 for &(p, q) in round {
-                    let (a, b) = (sg.nodes[p as usize], sg.nodes[q as usize]);
-                    let min_to_a = sg.dir == Direction::Ascending;
-                    pairs.push((a, b, min_to_a));
-                    let (ai, bi) = (a as usize, b as usize);
-                    let a_has_min = keys[ai] <= keys[bi];
-                    if a_has_min != min_to_a {
-                        keys.swap(ai, bi);
-                    }
+                    self.lowerer
+                        .pair(sg.nodes[p as usize], sg.nodes[q as usize], min_to_a);
                 }
             }
-            self.recorded.push(LogicalRound { pairs });
+            self.lowerer.finish_round();
         }
         self.program.len() as u64
     }
 
-    fn oet_round(&mut self, keys: &mut [K], pairs: &[(u64, u64)]) -> u64 {
-        let mut rec = Vec::with_capacity(pairs.len());
+    fn oet_round(&mut self, _keys: &mut [K], pairs: &[(u64, u64)]) -> u64 {
         for &(a, b) in pairs {
-            rec.push((a, b, true));
-            let (ai, bi) = (a as usize, b as usize);
-            if keys[ai] > keys[bi] {
-                keys.swap(ai, bi);
-            }
+            self.lowerer.pair(a, b, true);
         }
-        self.recorded.push(LogicalRound { pairs: rec });
+        self.lowerer.finish_round();
         1
     }
 }
@@ -793,7 +1027,7 @@ impl<K: Ord + Clone + Send + Sync> Engine<K> for RecordingEngine {
 /// Compare pairs between adjacent nodes become single
 /// [`Op::CompareExchange`] rounds; non-adjacent pairs (non-Hamiltonian
 /// labelings) are lowered to bidirectional relays along shortest paths,
-/// scheduled into edge-disjoint waves.
+/// scheduled into node-disjoint waves.
 #[must_use]
 pub fn compile(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) -> CompiledProgram {
     compile_with_counters(factor, r, sorter).0
@@ -809,156 +1043,33 @@ pub(crate) fn compile_with_counters(
 ) -> (CompiledProgram, Counters) {
     assert!(r >= 2, "the algorithm needs at least two dimensions");
     let shape = Shape::new(factor.n(), r);
-    let mut engine = RecordingEngine::new(sorter, shape.n());
-    // Replay on dummy data, stage by stage; the schedule is
-    // input-independent. Lowering after each stage lets the program
-    // record a certificate point at every stage boundary: after stage
-    // `k`, the paper's invariant says every `k`-dimensional subgraph is
+    let mut engine = RecordingEngine::new(factor, shape, sorter);
+    // Replay stage by stage; the schedule is input-independent, so no
+    // keys are needed. Stage boundaries fall between lowered rounds, so
+    // the program records a certificate point at each: after stage `k`,
+    // the paper's invariant says every `k`-dimensional subgraph is
     // snake-sorted (the final boundary, `k = r`, is global
     // snake-sortedness).
-    let mut dummy: Vec<u32> = (0..shape.len() as u32).collect();
+    let no_keys: &mut [u32] = &mut [];
     let dims: Vec<usize> = (0..r).collect();
     let mut out = crate::netsort::NetSortOutcome::default();
-    let mut rounds: Vec<BspRound> = Vec::new();
     let mut cert_points: Vec<CertPoint> = Vec::new();
     // Stage 2 (the initial parallel PG_2 sort round) is exactly the
-    // 2-dimensional merge's base case; the recorded schedule is
+    // 2-dimensional merge's base case; the replayed schedule is
     // identical to network_sort's.
     for k in 2..=r {
-        let recorded = engine.recorded.len();
-        network_merge(shape, &mut dummy, &mut engine, &dims[..k], &mut out);
-        for logical in &engine.recorded[recorded..] {
-            lower_pair_round(factor, shape, &logical.pairs, &mut rounds);
-        }
+        network_merge(shape, no_keys, &mut engine, &dims[..k], &mut out);
         cert_points.push(CertPoint {
-            round: rounds.len() as u64,
+            round: engine.lowerer.rounds.len() as u64,
             dims: k as u32,
         });
     }
     // `network_sort` runs stage 2 as a bare sort round, not as a merge.
     out.counters.merges -= 1;
 
-    let mut program = CompiledProgram::from_rounds(shape, rounds);
+    let mut program = CompiledProgram::from_rounds(shape, engine.lowerer.rounds);
     program.cert_points = cert_points;
     (program, out.counters)
-}
-
-/// Lower one logical pair round. Adjacent pairs go into a single
-/// compare-exchange round; relayed pairs are grouped into waves whose
-/// path edge sets are disjoint, each wave taking `max path length` move
-/// rounds plus a shared resolve round.
-fn lower_pair_round(
-    factor: &Graph,
-    shape: Shape,
-    pairs: &[(u64, u64, bool)],
-    rounds: &mut Vec<BspRound>,
-) {
-    if pairs.is_empty() {
-        // The synchronous round elapses even when this parity class is
-        // empty (matching the executed engine's accounting).
-        rounds.push(Vec::new());
-        return;
-    }
-    let mut adjacent: BspRound = Vec::new();
-    let mut relayed: Vec<(Vec<u64>, bool)> = Vec::new(); // (path a..b, min_to_a)
-    for &(a, b, min_to_a) in pairs {
-        // Pairs differ in exactly one dimension; the path stays inside
-        // that factor copy. A degenerate `(a, a)` pair (a sorter bug)
-        // is a semantic no-op — comparing a key with itself never
-        // swaps — so it lowers to nothing rather than panicking.
-        let Some(dim) = (0..shape.r()).find(|&i| shape.digit(a, i) != shape.digit(b, i)) else {
-            continue;
-        };
-        let (da, db) = (shape.digit(a, dim) as u32, shape.digit(b, dim) as u32);
-        if factor.has_edge(da, db) {
-            adjacent.push(Op::CompareExchange { a, b, min_to_a });
-        } else if let Some(fpath) = pns_graph::shortest_path(factor, da, db) {
-            let path: Vec<u64> = fpath
-                .iter()
-                .map(|&f| shape.with_digit(a, dim, f as usize))
-                .collect();
-            relayed.push((path, min_to_a));
-        } else {
-            // Unreachable for the connected factors every machine
-            // constructor validates; on a disconnected factor the pair
-            // cannot be routed at all — drop it (the program's final
-            // certificate will expose the unsorted result) instead of
-            // panicking mid-compile.
-            continue;
-        }
-    }
-    if !adjacent.is_empty() {
-        rounds.push(adjacent);
-    }
-    // Wave-schedule the relayed pairs: a wave's paths must be
-    // node-disjoint, so every relay node has both transit slots free for
-    // its one pair's forward and backward streams.
-    let mut remaining = relayed;
-    while !remaining.is_empty() {
-        let mut wave: Vec<(Vec<u64>, bool)> = Vec::new();
-        let mut used_nodes: HashMap<u64, ()> = HashMap::new();
-        let mut rest = Vec::new();
-        for (path, min_to_a) in remaining {
-            if path.iter().any(|v| used_nodes.contains_key(v)) {
-                rest.push((path, min_to_a));
-            } else {
-                for &v in &path {
-                    used_nodes.insert(v, ());
-                }
-                wave.push((path, min_to_a));
-            }
-        }
-        emit_wave(&wave, rounds);
-        remaining = rest;
-    }
-}
-
-/// Emit the move/resolve rounds for one edge-disjoint wave of relays.
-fn emit_wave(wave: &[(Vec<u64>, bool)], rounds: &mut Vec<BspRound>) {
-    let max_hops = wave.iter().map(|(p, _)| p.len() - 1).max().unwrap_or(0);
-    // Hop rounds: slot 0 carries a→b, slot 1 carries b→a, simultaneously
-    // (full-duplex edges; the machine checks per-direction capacity).
-    for h in 0..max_hops {
-        let mut round: BspRound = Vec::new();
-        for (path, _) in wave {
-            let hops = path.len() - 1;
-            if h < hops {
-                round.push(Op::Move {
-                    from: path[h],
-                    to: path[h + 1],
-                    slot: 0,
-                    from_key: h == 0,
-                });
-                round.push(Op::Move {
-                    from: path[hops - h],
-                    to: path[hops - h - 1],
-                    slot: 1,
-                    from_key: h == 0,
-                });
-            }
-        }
-        rounds.push(round);
-    }
-    // Resolve round: both endpoints decide locally.
-    let mut resolve: BspRound = Vec::new();
-    for (path, min_to_a) in wave {
-        let (Some(&a), Some(&b)) = (path.first(), path.last()) else {
-            continue; // an empty path has no endpoints to resolve
-        };
-        resolve.push(Op::Resolve {
-            node: a,
-            slot: 1,
-            keep_min: *min_to_a,
-        });
-        resolve.push(Op::Resolve {
-            node: b,
-            slot: 0,
-            keep_min: !*min_to_a,
-        });
-    }
-    if !resolve.is_empty() {
-        rounds.push(resolve);
-    }
 }
 
 #[cfg(test)]
@@ -1468,5 +1579,67 @@ mod tests {
             machine.try_validate(&program),
             Err(ProgramError::TransitLeftover)
         );
+    }
+
+    #[test]
+    fn try_validate_reports_the_lowest_key_read_and_written() {
+        // Nodes 4 and 1 are both read by relay first hops and written by
+        // compare-exchanges in one round; the error names node 1 whatever
+        // the op order.
+        let factor = factories::path(3);
+        let machine = BspMachine::new(&factor, 2);
+        let mv = |from, to| Op::Move {
+            from,
+            to,
+            slot: 0,
+            from_key: true,
+        };
+        let cx = |a, b| Op::CompareExchange {
+            a,
+            b,
+            min_to_a: true,
+        };
+        for round in [
+            vec![mv(4, 5), mv(1, 2), cx(0, 1), cx(3, 4)],
+            vec![cx(3, 4), cx(0, 1), mv(1, 2), mv(4, 5)],
+        ] {
+            let program = CompiledProgram::from_rounds(machine.shape(), vec![round]);
+            assert_eq!(
+                machine.try_validate(&program),
+                Err(ProgramError::KeyReadAndWritten { round: 0, node: 1 })
+            );
+        }
+    }
+
+    #[test]
+    fn edge_ids_are_distinct_and_exactly_the_product_edges() {
+        for (factor, r) in [
+            (factories::path(3), 3usize),
+            (factories::petersen(), 2),
+            (factories::k2(), 4),
+            (factories::star(4), 2),
+        ] {
+            let view = NetworkView::new(&factor, Shape::new(factor.n(), r));
+            let shape = view.shape;
+            let mut seen = std::collections::HashSet::new();
+            for a in 0..shape.len() {
+                for b in 0..=shape.len() {
+                    // Exactly one differing digit, and an edge there.
+                    let differing: Vec<usize> = (0..r)
+                        .filter(|&i| b < shape.len() && shape.digit(a, i) != shape.digit(b, i))
+                        .collect();
+                    let is_edge = differing.len() == 1 && {
+                        let d = differing[0];
+                        factor.has_edge(shape.digit(a, d) as u32, shape.digit(b, d) as u32)
+                    };
+                    let id = view.edge(a, b);
+                    assert_eq!(id.is_some(), is_edge, "{factor:?}^{r}: ({a},{b})");
+                    if let Some(id) = id {
+                        assert!(id < view.edge_ids());
+                        assert!(seen.insert(id), "{factor:?}^{r}: id of ({a},{b}) reused");
+                    }
+                }
+            }
+        }
     }
 }

@@ -14,19 +14,44 @@ use pns_order::snake::snake2_unrank;
 /// dimension varies fastest).
 #[must_use]
 pub fn base_nodes(shape: Shape, zero_dims: &[usize]) -> Vec<u64> {
-    let free: Vec<usize> = (0..shape.r()).filter(|d| !zero_dims.contains(d)).collect();
-    let count = pns_order::radix::pow(shape.n(), free.len());
-    let mut out = Vec::with_capacity(count as usize);
-    for m in 0..count {
-        let mut node = 0u64;
-        let mut rest = m;
-        for &d in &free {
-            node = shape.with_digit(node, d, (rest % shape.n() as u64) as usize);
-            rest /= shape.n() as u64;
-        }
-        out.push(node);
-    }
+    let mut out = Vec::new();
+    for_each_base(shape, zero_dims, |node, _| out.push(node));
     out
+}
+
+/// Visit every node rank whose digits at `zero_dims` are zero, in
+/// [`base_nodes`] order, together with its digits (indexed by
+/// dimension). An odometer over the free dimensions: each step adds one
+/// precomputed stride, so no rank is divided into digits.
+pub(crate) fn for_each_base(
+    shape: Shape,
+    zero_dims: &[usize],
+    mut visit: impl FnMut(u64, &[usize]),
+) {
+    let n = shape.n();
+    let free: Vec<(usize, u64)> = (0..shape.r())
+        .filter(|d| !zero_dims.contains(d))
+        .map(|d| (d, shape.stride(d)))
+        .collect();
+    let mut digits = vec![0usize; shape.r()];
+    let mut node = 0u64;
+    loop {
+        visit(node, &digits);
+        let mut carried = true;
+        for &(d, stride) in &free {
+            digits[d] += 1;
+            node += stride;
+            if digits[d] < n {
+                carried = false;
+                break;
+            }
+            digits[d] = 0;
+            node -= n as u64 * stride;
+        }
+        if carried {
+            return;
+        }
+    }
 }
 
 /// Node-rank offsets of a `PG_2` subgraph over `(dim_a, dim_b)` relative
@@ -44,14 +69,6 @@ pub fn pg2_offsets(shape: Shape, dim_a: usize, dim_b: usize) -> Vec<u64> {
             xa as u64 * sa + xb as u64 * sb
         })
         .collect()
-}
-
-/// Sum of the digits of `node` at `dims` — the Hamming weight of a group
-/// label read off a concrete node.
-#[inline]
-#[must_use]
-pub fn digit_weight(shape: Shape, node: u64, dims: &[usize]) -> u64 {
-    dims.iter().map(|&d| shape.digit(node, d) as u64).sum()
 }
 
 #[cfg(test)]
@@ -108,11 +125,19 @@ mod tests {
     }
 
     #[test]
-    fn digit_weight_sums_selected_digits() {
+    fn bases_follow_mixed_radix_order_with_their_digits() {
         let shape = Shape::new(3, 4);
-        let node = shape.rank(&[2, 1, 0, 2]);
-        assert_eq!(digit_weight(shape, node, &[0, 3]), 4);
-        assert_eq!(digit_weight(shape, node, &[1, 2]), 1);
-        assert_eq!(digit_weight(shape, node, &[]), 0);
+        let zero = [1usize, 3];
+        let mut seen = Vec::new();
+        for_each_base(shape, &zero, |node, digits| {
+            assert_eq!(digits, shape.unrank(node).as_slice());
+            seen.push(node);
+        });
+        // Free dimensions 0 and 2, dimension 0 fastest.
+        let expect: Vec<u64> = (0..9u64)
+            .map(|m| shape.rank(&[(m % 3) as usize, 0, (m / 3) as usize, 0]))
+            .collect();
+        assert_eq!(seen, expect);
+        assert_eq!(base_nodes(shape, &zero), expect);
     }
 }

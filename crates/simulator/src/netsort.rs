@@ -26,9 +26,9 @@
 //!   along the one differing dimension), and sorts again.
 
 use crate::engine::{Engine, Pg2Instance};
-use crate::enumerate::{base_nodes, digit_weight, pg2_offsets};
+use crate::enumerate::{base_nodes, for_each_base, pg2_offsets};
 use pns_core::Counters;
-use pns_order::group::{group_sequence, group_steps, Parity};
+use pns_order::group::{group_steps, Parity};
 use pns_order::radix::Shape;
 use pns_order::snake::node_at_snake_pos;
 use pns_order::Direction;
@@ -127,20 +127,20 @@ fn sort_round<K, E>(
     E: Engine<K>,
 {
     let offsets = pg2_offsets(shape, dim_a, dim_b);
-    let bases = base_nodes(shape, &[dim_a, dim_b]);
-    let subgraphs: Vec<Pg2Instance> = bases
-        .iter()
-        .map(|&base| {
-            let dir = match parity_dims {
-                None => Direction::Ascending,
-                Some(ds) => Direction::for_parity(Parity::of(digit_weight(shape, base, ds))),
-            };
-            Pg2Instance {
-                nodes: offsets.iter().map(|&o| base + o).collect(),
-                dir,
+    let mut subgraphs: Vec<Pg2Instance> = Vec::new();
+    for_each_base(shape, &[dim_a, dim_b], |base, digits| {
+        let dir = match parity_dims {
+            None => Direction::Ascending,
+            Some(ds) => {
+                let weight: usize = ds.iter().map(|&d| digits[d]).sum();
+                Direction::for_parity(Parity::of(weight as u64))
             }
-        })
-        .collect();
+        };
+        subgraphs.push(Pg2Instance {
+            nodes: offsets.iter().map(|&o| base + o).collect(),
+            dir,
+        });
+    });
     let steps = engine.sort_round(keys, &subgraphs);
     out.counters.s2_units += 1;
     out.counters.base_sorts += subgraphs.len() as u64;
@@ -164,24 +164,20 @@ fn oet_round<K, E>(
     K: Ord + Clone + Send + Sync,
     E: Engine<K>,
 {
-    let n = shape.n();
     let bases = base_nodes(shape, gdims);
-    let seq = group_sequence(n, gdims.len());
-    let transitions = group_steps(n, gdims.len());
+    let strides: Vec<u64> = gdims.iter().map(|&d| shape.stride(d)).collect();
     let mut pairs: Vec<(u64, u64)> = Vec::new();
-    for (z, st) in transitions.iter().enumerate() {
-        if z % 2 != parity {
-            continue;
+    // Rank offset of group label `z` from a base node; the group
+    // sequence starts at the all-zero label, and each transition moves
+    // one digit by one.
+    let mut label = 0u64;
+    for (z, st) in group_steps(shape.n(), gdims.len()).iter().enumerate() {
+        let stride = strides[st.dim];
+        let next = label - st.from as u64 * stride + st.to as u64 * stride;
+        if z % 2 == parity {
+            pairs.extend(bases.iter().map(|&base| (base + label, base + next)));
         }
-        let label = &seq[z].0;
-        for &base in &bases {
-            let mut a = base;
-            for (i, &d) in gdims.iter().enumerate() {
-                a = shape.with_digit(a, d, label[i]);
-            }
-            let b = shape.with_digit(a, gdims[st.dim], st.to);
-            pairs.push((a, b));
-        }
+        label = next;
     }
     // The synchronous round happens even if this parity class is empty
     // (e.g. N = 2 with a single transition): Lemma 3 charges both rounds,
