@@ -296,7 +296,11 @@ fn bench_obs_overhead(c: &mut Criterion) {
 /// decision hashing, no checkpoints, and no certificate checks, so it
 /// must stay within noise (the acceptance bar is < 2%) of plain
 /// `run_kernel_batch`. The enabled variant prices the retry ladder at
-/// a realistic rate (1 fault per 1000 sites).
+/// a realistic rate (1 fault per 1000 sites). `dispatcher_faults_backoff`
+/// is the service's fault path: a 64-lane `path(3)^3` batch at 1% of
+/// sites under the service's default ladder, whose retries back off, so
+/// it times how well the dispatcher overlaps lanes' backoffs with
+/// other lanes' compute.
 fn bench_fault_overhead(c: &mut Criterion) {
     use pns_simulator::{FaultPlan, RetryPolicy};
     let mut group = c.benchmark_group("fault_overhead");
@@ -340,6 +344,27 @@ fn bench_fault_overhead(c: &mut Criterion) {
             });
         });
     }
+
+    let service = pns_service::ServiceConfig::default();
+    let ladder = Ladder {
+        plan: FaultPlan::random(5, 10_000),
+        policy: service.retry_policy,
+        retries: service.service_retries,
+    };
+    let cube = BspMachine::new(&fx.cube3, 3);
+    let cube_vertical = cube
+        .lower_vertical(&fx.cube3_program)
+        .expect("cube program validates");
+    let cube_batch: Vec<Vec<u64>> = (0..64).map(|s| random_keys(27, 71 + s)).collect();
+    group.bench_function("dispatcher_faults_backoff", |b| {
+        b.iter(|| {
+            let mut batch = cube_batch.clone();
+            let lane = |i: usize| i as u64;
+            let run = batch::run(&cube, &cube_vertical, &mut batch, lane, &ladder, &mut pools);
+            black_box(run);
+            black_box(batch)
+        });
+    });
     group.finish();
 }
 

@@ -16,7 +16,10 @@ use serde::{Deserialize, Serialize};
 /// The optional backoff fields delay each re-execution by a
 /// capped-exponential, deterministically jittered amount — the shape a
 /// service layer wants when a retry storm would make an overload worse.
-/// With `backoff_base_ns == 0` (the default) retries re-execute
+/// The delay parks the retrying lane, not its worker: the batch
+/// dispatcher runs the batch's other lanes meanwhile and sleeps only
+/// when every unfinished lane is waiting (a lone run sleeps). With
+/// `backoff_base_ns == 0` (the default) retries re-execute
 /// immediately, exactly as before the fields existed, so every
 /// previously valid configuration behaves bit-identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -98,9 +101,11 @@ impl RetryPolicy {
     /// attempt from `backoff_base_ns`, saturates at `backoff_cap_ns`
     /// (or at `u64::MAX` when the cap is 0), and the returned value is
     /// `raw/2 + jitter` with `jitter` drawn deterministically from
-    /// `[0, raw/2]` by hashing `(backoff_jitter_seed, attempt)` — so
-    /// concurrent retriers spread out, but a replay waits the exact
-    /// same schedule. Always `0` when backoff is disabled
+    /// `[0, raw/2]` by hashing `(backoff_jitter_seed, attempt)` only, so
+    /// a replay waits the exact same schedule. The hash sees no lane:
+    /// retriers sharing one policy (every lane of a service) draw the
+    /// same delay for the same attempt, and only policies with
+    /// different seeds spread out. Always `0` when backoff is disabled
     /// (`backoff_base_ns == 0`) or for `attempt == 0`.
     #[must_use]
     pub fn backoff_ns(&self, attempt: u32) -> u64 {

@@ -55,7 +55,8 @@ pub struct ServiceConfig {
     /// ladder), on top of the executor's in-run checkpoint retries.
     pub service_retries: u32,
     /// Backoff schedule for those service-level retries
-    /// ([`RetryPolicy::backoff_ns`]; also the in-run retry policy).
+    /// ([`RetryPolicy::backoff_ns`]; also the in-run retry policy). A
+    /// backoff parks the lane; the worker runs other lanes meanwhile.
     pub retry_policy: RetryPolicy,
     /// Worker threads the front-end spawns.
     pub workers: usize,
@@ -127,12 +128,16 @@ pub enum Poll {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneVerdict {
     /// Sorted. `degraded` marks the quarantine rung (clean serial
-    /// re-run); `retried` marks service-level retries before success.
+    /// re-run); `retried` marks service-level retries before success;
+    /// `segment_retries` counts the executor's in-run checkpoint
+    /// restores over every attempt.
     Sorted {
         /// Went through the quarantine rung.
         degraded: bool,
         /// Needed at least one service-level retry.
         retried: bool,
+        /// In-run segment retries (`FaultReport::retries`).
+        segment_retries: u64,
     },
     /// Terminal failure (typed error went back to the caller).
     Failed,
@@ -321,7 +326,12 @@ impl ServiceCore {
     pub fn complete(&mut self, lane: &Pending, verdict: LaneVerdict, now_ns: u64) {
         let waited = now_ns.saturating_sub(lane.enqueued_ns);
         let failed = match verdict {
-            LaneVerdict::Sorted { degraded, retried } => {
+            LaneVerdict::Sorted {
+                degraded,
+                retried,
+                segment_retries,
+            } => {
+                self.stats.segment_retries += segment_retries;
                 let t = self.stats.tenant(lane.tenant);
                 t.completed += 1;
                 t.latency.record(waited);
@@ -507,6 +517,7 @@ mod tests {
             LaneVerdict::Sorted {
                 degraded: false,
                 retried: false,
+                segment_retries: 2,
             },
             3_000,
         );
@@ -520,6 +531,7 @@ mod tests {
             LaneVerdict::Sorted {
                 degraded: true,
                 retried: true,
+                segment_retries: 1,
             },
             4_000,
         );
@@ -534,6 +546,7 @@ mod tests {
         assert_eq!(c.stats.breaker_state, 1);
         assert_eq!(c.stats.breaker_opens, 1);
         assert_eq!(c.stats.retried_lanes, 1);
+        assert_eq!(c.stats.segment_retries, 3);
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //!    re-executed from its original input under a *re-forked* fault
 //!    plan, after a capped-exponential deterministically-jittered
 //!    backoff ([`RetryPolicy::backoff_ns`]), up to
-//!    [`ServiceConfig::service_retries`] times.
+//!    [`ServiceConfig::service_retries`] times. Every backoff, in-run
+//!    or service-level, parks the lane, not the worker: the worker runs
+//!    the batch's other lanes meanwhile and sleeps only when every
+//!    unfinished lane is waiting.
 //! 4. **Serial quarantined lane** — still failing, the lane runs clean
 //!    (injection off) and serially; the response is marked `degraded`.
 //! 5. **Shed with a typed error** — nothing below this rung: requests
@@ -204,6 +207,11 @@ impl ServiceBuilder {
             })
             .collect();
         let workers = self.config.workers.max(1);
+        let ladder = Ladder {
+            plan: self.plan,
+            policy: self.config.retry_policy,
+            retries: self.config.service_retries,
+        };
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 core: ServiceCore::new(self.config, specs),
@@ -211,7 +219,7 @@ impl ServiceBuilder {
             }),
             cv: Condvar::new(),
             clock: self.clock,
-            plan: self.plan,
+            ladder,
             shapes: self.shapes,
             shutdown: AtomicBool::new(false),
         });
@@ -239,7 +247,9 @@ struct Shared {
     state: Mutex<State>,
     cv: Condvar,
     clock: Arc<dyn Clock>,
-    plan: FaultPlan,
+    /// The fault plan and retry ladder every batch runs under; fixed at
+    /// start, so workers read it without the state lock.
+    ladder: Ladder,
     shapes: Vec<RegisteredShape>,
     shutdown: AtomicBool,
 }
@@ -402,9 +412,10 @@ fn worker_loop(shared: &Shared) {
             CorePoll::Ready(batch) => {
                 let shape = batch.shape;
                 drop(state);
-                let outcomes = execute_batch(shared, &mut ctx, shape, batch.entries);
+                let (outcomes, vertical) = execute_batch(shared, &mut ctx, shape, batch.entries);
                 let done = shared.clock.now_ns();
                 let mut state = shared.lock();
+                state.core.note_batch(vertical);
                 let mut replies = Vec::with_capacity(outcomes.len());
                 for (lane, verdict, reply) in outcomes {
                     state.core.complete(&lane, verdict, done);
@@ -441,8 +452,9 @@ fn worker_loop(shared: &Shared) {
 
 type LaneOutcome = (Pending, LaneVerdict, Result<SortResponse, ServiceError>);
 
-/// Run one coalesced batch down the degradation ladder. Never panics a
-/// caller: compute runs behind `catch_unwind` with the request
+/// Run one coalesced batch down the degradation ladder, returning each
+/// lane's outcome and whether the batch ran on the vertical tier. Never
+/// panics a caller: compute runs behind `catch_unwind` with the request
 /// identities held *outside* the closure, so a contained panic still
 /// answers every lane with a typed internal error (counted as a
 /// failure by the breaker) instead of stranding its ticket.
@@ -451,10 +463,10 @@ fn execute_batch(
     ctx: &mut WorkerCtx,
     shape: usize,
     mut entries: Vec<Pending>,
-) -> Vec<LaneOutcome> {
+) -> (Vec<LaneOutcome>, bool) {
     let Some((registered, machine)) = shared.shapes.get(shape).zip(ctx.machines.get(shape)) else {
         // Unknown shape past admission: answer every lane, typed.
-        return entries
+        let outcomes = entries
             .into_iter()
             .map(|p| {
                 (
@@ -464,15 +476,7 @@ fn execute_batch(
                 )
             })
             .collect();
-    };
-    let ladder = {
-        let state = shared.lock();
-        let config = state.core.config();
-        Ladder {
-            plan: shared.plan.clone(),
-            policy: config.retry_policy,
-            retries: config.service_retries,
-        }
+        return (outcomes, false);
     };
     // Keys move into the closure; identities stay out.
     let mut keys: Vec<Vec<u64>> = entries
@@ -485,19 +489,13 @@ fn execute_batch(
             &registered.vertical,
             &mut keys,
             |i| entries[i].id,
-            &ladder,
+            &shared.ladder,
             &mut ctx.pools,
         )
     }))
     .ok();
-    {
-        let mut state = shared.lock();
-        state
-            .core
-            .note_batch(run.as_ref().is_some_and(|r| r.tier == Tier::Vertical));
-    }
     let Some(run) = run else {
-        return entries
+        let outcomes = entries
             .into_iter()
             .map(|p| {
                 (
@@ -507,8 +505,10 @@ fn execute_batch(
                 )
             })
             .collect();
+        return (outcomes, false);
     };
-    entries
+    let vertical = run.tier == Tier::Vertical;
+    let outcomes = entries
         .into_iter()
         .zip(run.lanes.into_iter().zip(keys))
         .map(|(p, (lane, keys))| match lane {
@@ -517,6 +517,7 @@ fn execute_batch(
                 LaneVerdict::Sorted {
                     degraded: report.quarantined,
                     retried: report.attempts > 1,
+                    segment_retries: report.retries.len() as u64,
                 },
                 Ok(SortResponse {
                     keys,
@@ -526,5 +527,6 @@ fn execute_batch(
             ),
             Err(e) => (p, LaneVerdict::Failed, Err(ServiceError::Fault(e))),
         })
-        .collect()
+        .collect();
+    (outcomes, vertical)
 }

@@ -53,6 +53,8 @@ pub struct ServiceStats {
     pub kernel_batches: u64,
     /// Lanes that went through service-level retry at least once.
     pub retried_lanes: u64,
+    /// In-run segment retries (checkpoint restores) over all lanes.
+    pub segment_retries: u64,
     /// Current queue depth (gauge).
     pub queue_depth: usize,
     /// Current breaker state code (gauge: 0 closed, 1 open, 2 half-open).
@@ -106,6 +108,7 @@ impl ServiceStats {
         registry.set_counter("pns_service_vertical_batches_total", self.vertical_batches);
         registry.set_counter("pns_service_kernel_batches_total", self.kernel_batches);
         registry.set_counter("pns_service_retried_lanes_total", self.retried_lanes);
+        registry.set_counter("pns_service_segment_retries_total", self.segment_retries);
         registry.set_counter("pns_service_breaker_opens_total", self.breaker_opens);
         registry.set_gauge("pns_service_queue_depth", self.queue_depth as f64);
         #[allow(clippy::cast_precision_loss)]
@@ -130,12 +133,17 @@ mod tests {
         stats.queue_depth = 3;
         stats.breaker_state = 1;
         stats.vertical_batches = 4;
+        stats.segment_retries = 5;
 
         let mut registry = Registry::new();
         stats.export_to(&mut registry);
         assert_eq!(
             registry.counter("pns_service_vertical_batches_total"),
             Some(4)
+        );
+        assert_eq!(
+            registry.counter("pns_service_segment_retries_total"),
+            Some(5)
         );
         assert_eq!(registry.gauge("pns_service_queue_depth"), Some(3.0));
         assert_eq!(registry.gauge("pns_service_breaker_state"), Some(1.0));

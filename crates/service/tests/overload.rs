@@ -14,7 +14,9 @@ use pns_service::{
 };
 use pns_simulator::batch::Ladder;
 use pns_simulator::netsort::is_snake_sorted;
-use pns_simulator::{BspMachine, FaultPlan, Machine, ProgramCache, RetryPolicy, SorterChoice};
+use pns_simulator::{
+    BspMachine, FaultKind, FaultPlan, FaultSite, Machine, ProgramCache, RetryPolicy, SorterChoice,
+};
 use std::sync::Arc;
 
 /// `path(3)^2`: 9 keys per request — small enough to batch by the
@@ -286,6 +288,7 @@ fn breaker_walks_closed_open_half_open_closed_through_the_core() {
             LaneVerdict::Sorted {
                 degraded: false,
                 retried: false,
+                segment_retries: 0,
             },
             1_200,
         );
@@ -325,6 +328,7 @@ fn quarantined_lanes_count_as_breaker_failures() {
             LaneVerdict::Sorted {
                 degraded: true,
                 retried: true,
+                segment_retries: 0,
             },
             50,
         );
@@ -443,6 +447,90 @@ fn service_and_machine_batches_agree_lane_for_lane() {
     let stats = assert_service_matches_machine(&factor, &wide, &Ladder::clean());
     assert_eq!((stats.kernel_batches, stats.vertical_batches), (0, 1));
     assert_eq!(stats.total(|t| t.degraded), 0);
+}
+
+#[test]
+fn backoffs_park_lanes_so_a_batch_waits_them_out_together() {
+    // A single-site flip that costs every lane exactly one in-run
+    // segment retry: all 32 inputs share one relative order, so the
+    // flip lands the same way in each of them.
+    let factor = factories::path(3);
+    let inputs: Vec<Vec<u64>> = (0..32u64)
+        .map(|i| keys_desc().iter().map(|k| k * 64 + i).collect())
+        .collect();
+    let cache = ProgramCache::new();
+    let mut machine = Machine::compiled_with(&factor, 2, SorterChoice::Auto, &cache);
+    let program = pns_simulator::compile(&factor, 2, SorterChoice::Auto.resolve(&factor));
+    let mut one_retry = |plan: &FaultPlan| {
+        let ladder = Ladder {
+            plan: plan.clone(),
+            policy: RetryPolicy::default(),
+            retries: 0,
+        };
+        let lane = machine.sort_batch_under(vec![inputs[0].clone()], &ladder);
+        matches!(&lane[0], Ok((_, faults)) if faults.retries.len() == 1 && faults.attempts == 1)
+    };
+    let plan = (0..program.rounds() as u64)
+        .map(|round| FaultPlan::single(FaultKind::FlipCompare, FaultSite { round, op: 0 }))
+        .find(&mut one_retry)
+        .expect("some flip is detected and repaired");
+
+    // Each retry waits at least 2.5 ms: one after another, the 32 waits
+    // alone would take 80 ms.
+    let policy = RetryPolicy::default().with_backoff(5_000_000, 5_000_000, 0x5e47_1ce5);
+    assert!(policy.backoff_ns(1) >= 2_500_000);
+    let ladder = Ladder {
+        plan,
+        policy,
+        retries: 0,
+    };
+    let config = ServiceConfig {
+        coalesce_budget_ns: 60_000_000_000, // only the full group is due
+        request_timeout_ns: 120_000_000_000,
+        max_batch_lanes: inputs.len(),
+        workers: 1,
+        service_retries: ladder.retries,
+        retry_policy: ladder.policy,
+        ..ServiceConfig::default()
+    };
+    let service = SortService::builder(config)
+        .fault_plan(ladder.plan.clone())
+        .register_shape(&factor, 2)
+        .expect("connected factor")
+        .start();
+    let tickets: Vec<_> = inputs
+        .iter()
+        .map(|keys| service.submit(0, 0, keys.clone()).expect("admitted"))
+        .collect();
+    let submitted = std::time::Instant::now();
+    let responses: Vec<_> = tickets
+        .into_iter()
+        .map(|ticket| ticket.wait().expect("one retry repairs every lane"))
+        .collect();
+    let elapsed = submitted.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(40),
+        "the batch took {elapsed:?}: its lanes waited out their backoffs one by one"
+    );
+
+    let lanes = machine.sort_batch_under(inputs.clone(), &ladder);
+    let mut retries = 0;
+    for (i, (response, lane)) in responses.iter().zip(lanes).enumerate() {
+        let (report, faults) = lane.expect("well-formed lanes sort");
+        assert_sorted(&response.keys);
+        assert_eq!(response.keys, report.keys, "lane {i}: keys");
+        assert_eq!(response.attempts, faults.attempts, "lane {i}: attempts");
+        assert_eq!(faults.retries.len(), 1, "lane {i}: one segment retry");
+        retries += faults.retries.len() as u64;
+    }
+    let stats = service.stats();
+    assert_eq!(stats.segment_retries, retries);
+    let mut registry = pns_obs::Registry::new();
+    service.export_metrics(&mut registry);
+    assert_eq!(
+        registry.counter("pns_service_segment_retries_total"),
+        Some(retries)
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -104,6 +104,7 @@ fn step(
                         LaneVerdict::Sorted {
                             degraded: false,
                             retried: false,
+                            segment_retries: 0,
                         },
                         now,
                     );

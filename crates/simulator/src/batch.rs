@@ -6,9 +6,8 @@
 //!   [`VERTICAL_MIN_LANES`] lanes run on the bit-sliced vertical tier
 //!   ([`BspMachine::run_vertical_batch`]); smaller batches run on the
 //!   kernel batch ([`BspMachine::run_kernel_batch`]).
-//! * Under an enabled plan, each lane walks the retry ladder, one lane
-//!   after another:
-//!   1. [`BspMachine::run_kernel_with_faults`] under
+//! * Under an enabled plan, each lane walks the retry ladder:
+//!   1. [`BspMachine::run_kernel_with_faults`]'s executor under
 //!      `plan.fork(id).fork(0)`, whose in-run checkpoint/retry absorbs
 //!      transient faults;
 //!   2. up to [`Ladder::retries`] whole-run retries from the original
@@ -19,15 +18,29 @@
 //!   3. quarantine: a clean kernel run from the original input, with
 //!      [`FaultReport::quarantined`] set.
 //!
+//!   A backoff, before a segment retry or a whole-run retry, parks the
+//!   lane, not the worker: the dispatcher runs every ready lane until it
+//!   finishes or parks, keeps parked lanes in a min-heap by due time,
+//!   and sleeps only when no lane is ready, until the earliest is due.
+//!   No lane runs before its backoff has elapsed. Fault decisions depend
+//!   only on the plan and the site, never on time, so every lane's
+//!   output and [`FaultReport`] equal running it alone; and since a
+//!   zero backoff never parks, a policy without backoff runs the lanes
+//!   one after another, in order.
+//!
 //! Every lane with one key per node therefore ends equal to what
 //! [`BspMachine::run`] makes of its input; a malformed lane reports
 //! [`FaultError::WrongKeyCount`] without touching its batch-mates.
+
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+use std::time::{Duration, Instant};
 
 use pns_fault::{FaultPlan, RetryPolicy};
 use pns_obs::{Event, SpanClass, Stage, Tier};
 
 use crate::bsp::BspMachine;
-use crate::fault::{FaultError, FaultReport};
+use crate::fault::{since, FaultError, FaultJob, FaultLane, FaultReport, Step};
 use crate::kernel::{ExecScratch, KernelProgram, ScratchPool};
 use crate::vertical::{VerticalPool, VerticalProgram, VERTICAL_MIN_LANES};
 
@@ -37,7 +50,7 @@ pub struct Ladder {
     /// Faults to inject. Disabled plans take the clean tiers.
     pub plan: FaultPlan,
     /// The in-run checkpoint/retry policy; its backoff also spaces the
-    /// whole-run retries.
+    /// whole-run retries. A backoff parks the lane, not the batch.
     pub policy: RetryPolicy,
     /// Whole-run retries after the first attempt exhausts its in-run
     /// retries, before the lane is quarantined.
@@ -138,11 +151,15 @@ where
             batch: batch.len() as u64,
             lanes: 1,
         });
-        for (i, (keys, lane)) in batch.iter_mut().zip(&mut lanes).enumerate() {
-            if let Ok(report) = lane {
-                *report = ladder_lane(bsp, kernel, keys, lane_id(i), ladder, &mut pools.lane);
-            }
-        }
+        run_ladder(
+            bsp,
+            kernel,
+            batch,
+            &mut lanes,
+            lane_id,
+            ladder,
+            &mut pools.lane,
+        );
         return BatchRun {
             tier: Tier::Fault,
             lanes,
@@ -191,52 +208,98 @@ where
     BatchRun { tier, lanes }
 }
 
-/// One lane down the retry ladder; returns its report summed over
-/// every attempt.
-fn ladder_lane<K: Ord + Clone>(
+/// Walk every well-formed lane of `batch` down the retry ladder,
+/// interleaving lanes across their backoffs (see the module docs), and
+/// store each lane's report summed over its attempts in `lanes`.
+fn run_ladder<K: Ord + Clone>(
     bsp: &BspMachine,
     kernel: &KernelProgram,
-    keys: &mut Vec<K>,
-    id: u64,
+    batch: &mut [Vec<K>],
+    lanes: &mut [Result<FaultReport, FaultError>],
+    lane_id: impl Fn(usize) -> u64,
     ladder: &Ladder,
     scratch: &mut ExecScratch<K>,
-) -> FaultReport {
-    let original = keys.clone();
-    let base = ladder.plan.fork(id);
-    let mut total = FaultReport::default();
-    for attempt in 0..=ladder.retries {
-        if attempt > 0 {
-            let delay_ns = ladder.policy.backoff_ns(attempt);
-            if delay_ns > 0 {
-                std::thread::sleep(std::time::Duration::from_nanos(delay_ns));
+) {
+    let job = FaultJob::new(bsp, kernel, ladder.policy);
+    let mut queue = LaneQueue::new((0..lanes.len()).filter(|&i| lanes[i].is_ok()));
+    // A lane's state exists from its first slice to its last, so only
+    // parked lanes and the running one hold checkpoints.
+    let mut states: Vec<Option<FaultLane<K>>> = batch.iter().map(|_| None).collect();
+    let epoch = Instant::now();
+    let now = || since(epoch);
+    loop {
+        match queue.next(now()) {
+            Next::Run(i) => {
+                let keys = &mut batch[i];
+                let lane = states[i]
+                    .get_or_insert_with(|| FaultLane::ladder(&job, keys, ladder, lane_id(i)));
+                match lane.step(&job, keys, scratch, &now) {
+                    Step::Parked { until } => queue.park(i, until),
+                    Step::Done(result) => {
+                        lanes[i] = result;
+                        states[i] = None;
+                    }
+                }
             }
-            keys.clone_from(&original);
-        }
-        let plan = base.fork(u64::from(attempt));
-        let (mut report, failed) = bsp.fault_attempt(keys, kernel, &plan, &ladder.policy, scratch);
-        if failed.is_some() {
-            // Nothing a failed attempt executed reaches the output.
-            report.counters.wasted_rounds += report.counters.useful_rounds;
-            report.counters.useful_rounds = 0;
-        }
-        total.attempts += report.attempts;
-        total.injected.append(&mut report.injected);
-        total.detections.append(&mut report.detections);
-        total.retries.append(&mut report.retries);
-        total.counters = total.counters.then(report.counters);
-        if failed.is_none() {
-            total.rounds = total.counters.total_rounds();
-            return total;
+            Next::Wait(until) => {
+                std::thread::sleep(Duration::from_nanos(until.saturating_sub(now())));
+            }
+            Next::Done => return,
         }
     }
-    keys.clone_from(&original);
-    bsp.run_kernel(keys, kernel, scratch);
-    bsp.logger.log(|| Event::LaneQuarantined { lane: id });
-    total.attempts += 1;
-    total.quarantined = true;
-    total.counters.useful_rounds = kernel.rounds() as u64;
-    total.rounds = total.counters.total_rounds();
-    total
+}
+
+/// What [`LaneQueue::next`] says to do.
+#[derive(Debug, PartialEq, Eq)]
+enum Next {
+    /// Run this lane.
+    Run(usize),
+    /// No lane is ready; the earliest parked one is due at this time.
+    Wait(u64),
+    /// Every lane finished.
+    Done,
+}
+
+/// Which lane of a fault batch runs next. Ready lanes run first in,
+/// first out; a parked lane joins them once the clock reaches its due
+/// time. Plain bookkeeping on explicit `now` values, so tests drive it
+/// without sleeping.
+#[derive(Debug)]
+struct LaneQueue {
+    ready: VecDeque<usize>,
+    parked: BinaryHeap<Reverse<(u64, usize)>>,
+}
+
+impl LaneQueue {
+    /// A queue with `lanes` ready, in order.
+    fn new(lanes: impl IntoIterator<Item = usize>) -> Self {
+        LaneQueue {
+            ready: lanes.into_iter().collect(),
+            parked: BinaryHeap::new(),
+        }
+    }
+
+    /// Park `lane` until `until`.
+    fn park(&mut self, lane: usize, until: u64) {
+        self.parked.push(Reverse((until, lane)));
+    }
+
+    /// What to do at `now`: wake every parked lane that is due, then
+    /// run the oldest ready lane, or wait for the earliest parked one.
+    fn next(&mut self, now: u64) -> Next {
+        while let Some(&Reverse((until, lane))) = self.parked.peek() {
+            if until > now {
+                break;
+            }
+            self.parked.pop();
+            self.ready.push_back(lane);
+        }
+        match (self.ready.pop_front(), self.parked.peek()) {
+            (Some(lane), _) => Next::Run(lane),
+            (None, Some(&Reverse((until, _)))) => Next::Wait(until),
+            (None, None) => Next::Done,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -244,6 +307,7 @@ mod tests {
     use super::*;
     use crate::bsp::compile;
     use crate::sorters::OetSnakeSorter;
+    use pns_fault::{FaultKind, FaultSite};
     use pns_graph::factories;
 
     fn lcg_keys(len: u64, seed: u64) -> Vec<u64> {
@@ -256,13 +320,20 @@ mod tests {
             .collect()
     }
 
-    /// `path(3)^2` with its compiled program and vertical lowering.
-    fn setup() -> (BspMachine, crate::CompiledProgram, VerticalProgram) {
-        let factor = factories::path(3);
-        let program = compile(&factor, 2, &OetSnakeSorter);
-        let machine = BspMachine::new(&factor, 2);
+    /// `factor^r` with its compiled program and vertical lowering.
+    fn setup_on(
+        factor: &pns_graph::Graph,
+        r: usize,
+    ) -> (BspMachine, crate::CompiledProgram, VerticalProgram) {
+        let program = compile(factor, r, &OetSnakeSorter);
+        let machine = BspMachine::new(factor, r);
         let vertical = machine.lower_vertical(&program).expect("validates");
         (machine, program, vertical)
+    }
+
+    /// `path(3)^2` with its compiled program and vertical lowering.
+    fn setup() -> (BspMachine, crate::CompiledProgram, VerticalProgram) {
+        setup_on(&factories::path(3), 2)
     }
 
     fn clean(machine: &BspMachine, program: &crate::CompiledProgram, keys: &[u64]) -> Vec<u64> {
@@ -450,5 +521,122 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, Event::BatchScheduled { .. })));
+    }
+
+    #[test]
+    fn parked_lanes_resume_when_due_and_zero_delays_never_park() {
+        // The queue on explicit clock values.
+        let mut queue = LaneQueue::new([0, 1, 2]);
+        assert_eq!(queue.next(0), Next::Run(0));
+        queue.park(0, 100);
+        assert_eq!(
+            queue.next(10),
+            Next::Run(1),
+            "a ready lane runs while another is parked"
+        );
+        assert_eq!(queue.next(20), Next::Run(2));
+        queue.park(2, 50);
+        assert_eq!(queue.next(30), Next::Wait(50), "the earliest due time");
+        assert_eq!(queue.next(49), Next::Wait(50), "no lane resumes early");
+        assert_eq!(queue.next(50), Next::Run(2));
+        assert_eq!(queue.next(99), Next::Wait(100));
+        assert_eq!(queue.next(100), Next::Run(0));
+        assert_eq!(queue.next(100), Next::Done);
+
+        // A lane whose dropped route on star(4)^2 is detected and
+        // retried once (see the fault executor's tests).
+        let (machine, program, _) = setup_on(&factories::star(4), 2);
+        let kernel = machine.lower(&program).expect("validates");
+        let input: Vec<u64> = (0..16).rev().collect();
+        let ladder = |policy| Ladder {
+            plan: FaultPlan::single(FaultKind::DropRoute, FaultSite { round: 1, op: 0 }),
+            policy,
+            retries: 0,
+        };
+        let mut scratch = ExecScratch::new();
+
+        let policy = RetryPolicy::default();
+        let job = FaultJob::new(&machine, &kernel, policy);
+        let mut keys = input.clone();
+        let mut lane = FaultLane::ladder(&job, &keys, &ladder(policy), 0);
+        let Step::Done(Ok(report)) = lane.step(&job, &mut keys, &mut scratch, &|| 0) else {
+            panic!("a zero delay never parks");
+        };
+        assert_eq!(report.retries.len(), 1);
+
+        let policy = RetryPolicy::default().with_backoff(1_000, 0, 9);
+        let job = FaultJob::new(&machine, &kernel, policy);
+        let mut resumed = input.clone();
+        let mut lane = FaultLane::ladder(&job, &resumed, &ladder(policy), 0);
+        match lane.step(&job, &mut resumed, &mut scratch, &|| 5_000) {
+            Step::Parked { until } => assert_eq!(until, 5_000 + policy.backoff_ns(1)),
+            other => panic!("a backoff parks the lane, got {other:?}"),
+        }
+        let Step::Done(Ok(after)) = lane.step(&job, &mut resumed, &mut scratch, &|| 7_000) else {
+            panic!("one retry repairs the transient");
+        };
+        assert_eq!(after, report, "time never changes a fault decision");
+        assert_eq!(resumed, keys);
+        assert_eq!(keys, clean(&machine, &program, &input));
+    }
+
+    #[test]
+    fn backoff_batches_match_each_lane_run_alone() {
+        // A backoff before every retry, so lanes park and interleave:
+        // segment retries under the first policy; whole-run retries and
+        // quarantine under the second, which cannot retry segments.
+        let policies = [
+            RetryPolicy {
+                max_retries: 1,
+                ..RetryPolicy::default()
+            },
+            RetryPolicy::detect_only(),
+        ];
+        for (factor, r) in [(factories::path(3), 3), (factories::star(4), 2)] {
+            let (machine, program, vertical) = setup_on(&factor, r);
+            let inputs: Vec<Vec<u64>> = (0..24)
+                .map(|i| lcg_keys(machine.shape().len(), i * 5 + 2))
+                .collect();
+            for policy in policies {
+                let ladder = Ladder {
+                    plan: FaultPlan::random(3, 30_000),
+                    policy: policy.with_backoff(20_000, 100_000, 5),
+                    retries: 1,
+                };
+                let mut batch = inputs.clone();
+                let id = |i: usize| 50 + i as u64;
+                let together = run(
+                    &machine,
+                    &vertical,
+                    &mut batch,
+                    id,
+                    &ladder,
+                    &mut BatchPools::new(),
+                );
+                let (mut retried, mut quarantined) = (0, 0);
+                for (i, input) in inputs.iter().enumerate() {
+                    let mut alone = vec![input.clone()];
+                    let single = run(
+                        &machine,
+                        &vertical,
+                        &mut alone,
+                        |_| id(i),
+                        &ladder,
+                        &mut BatchPools::new(),
+                    );
+                    assert_eq!(batch[i], alone[0], "lane {i}: keys");
+                    assert_eq!(together.lanes[i], single.lanes[0], "lane {i}: report");
+                    assert_eq!(batch[i], clean(&machine, &program, input));
+                    let report = together.lanes[i].as_ref().expect("lanes degrade");
+                    retried += report.retries.len() + report.attempts as usize - 1;
+                    quarantined += usize::from(report.quarantined);
+                }
+                assert!(retried > 0, "the backoff must park some lane");
+                assert!(
+                    policy.max_retries > 0 || quarantined > 0,
+                    "some lane must walk the whole ladder"
+                );
+            }
+        }
     }
 }

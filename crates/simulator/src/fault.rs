@@ -15,9 +15,9 @@
 //!    transit-slot occupancy schedule, so the machine-model discipline
 //!    validated by `try_validate` still holds and transit is empty at
 //!    every certificate boundary.
-//! 2. **Detection** — at each [`CertPoint`] the executor checks the
-//!    stage invariant (every `dims`-dimensional subgraph over the low
-//!    dimensions snake-sorted): in full via
+//! 2. **Detection** — at each [`CertPoint`](crate::bsp::CertPoint) the
+//!    executor checks the stage invariant (every `dims`-dimensional
+//!    subgraph over the low dimensions snake-sorted): in full via
 //!    [`crate::verify::subgraphs_snake_sorted`] when
 //!    [`RetryPolicy::recheck_depth`] is 0, or by `recheck_depth` sampled
 //!    adjacent-pair probes otherwise. The **final** certificate is
@@ -35,9 +35,16 @@
 //!    are transient and already-fired sites are tracked globally, a
 //!    retried segment executes clean — the analogue of repairing a
 //!    faulty link between synchronous phases of a periodic network.
+//!    A policy with backoff ([`RetryPolicy::backoff_ns`]) delays each
+//!    re-execution: the lane *parks* until its due time instead of
+//!    sleeping, so the batch dispatcher runs other lanes meanwhile.
 //!
-//! The batch ladder on top of one run — whole-run retries under
-//! re-forked plans, then quarantine — is [`crate::batch`].
+//! One executor serves a single run and every lane of a batch: a
+//! lane's run is a resumable state machine (`FaultLane`) that computes
+//! until it finishes or parks. [`BspMachine::run_kernel_with_faults`]
+//! drives one lane and sleeps while it is parked; the batch ladder on
+//! top — whole-run retries under re-forked plans, then quarantine — is
+//! [`crate::batch`], whose dispatcher interleaves the lanes.
 //!
 //! When the plan is disabled, execution takes a fast path identical to
 //! [`BspMachine::run_kernel`]: no decision hashing, no checkpoints, no
@@ -46,13 +53,14 @@
 //! overhead within noise.
 
 use std::collections::HashSet;
+use std::time::{Duration, Instant};
 
 use pns_fault::detect::sampled_subgraph_certificate;
 use pns_fault::{FaultKind, FaultPlan, FaultSite, OpClass, RetryPolicy};
 use pns_obs::{Event, SpanClass, Stage, Tier};
-use pns_order::radix::Shape;
 
-use crate::bsp::{BspMachine, CertPoint, Op};
+use crate::batch::Ladder;
+use crate::bsp::{BspMachine, Op};
 use crate::kernel::{exec_kernel, ExecScratch, KernelProgram, RoundClass};
 use crate::verify::subgraphs_snake_sorted;
 use pns_core::RetryCounters;
@@ -160,29 +168,36 @@ struct Segment {
     /// is_final)`. `None` for an uncertified tail (hand-built programs
     /// whose cert points do not reach the end).
     check: Option<(u64, u32, bool)>,
+    /// Whether the segment holds a route round, the only kind that can
+    /// break the multiset of keys.
+    routes: bool,
 }
 
 /// Split a program into checkpointable segments at its certificate
 /// boundaries. Programs without certificates (e.g. built via
 /// `CompiledProgram::from_rounds`) become a single unchecked segment —
 /// the executor then runs open-loop and cannot detect anything.
-fn segments(certs: &[CertPoint], rounds: usize) -> Vec<Segment> {
+fn segments(kernel: &KernelProgram) -> Vec<Segment> {
+    let (certs, rounds) = (kernel.cert_points(), kernel.rounds());
+    let segment = |start: usize, end: usize, check| Segment {
+        start,
+        end,
+        check,
+        routes: (start..end).any(|ri| kernel.class(ri) == RoundClass::Route),
+    };
     let mut out = Vec::with_capacity(certs.len() + 1);
     let mut start = 0usize;
     for (i, c) in certs.iter().enumerate() {
-        out.push(Segment {
+        let end = c.round as usize;
+        out.push(segment(
             start,
-            end: c.round as usize,
-            check: Some((c.round, c.dims, i == certs.len() - 1)),
-        });
-        start = c.round as usize;
+            end,
+            Some((c.round, c.dims, i == certs.len() - 1)),
+        ));
+        start = end;
     }
     if start < rounds || certs.is_empty() {
-        out.push(Segment {
-            start,
-            end: rounds,
-            check: None,
-        });
+        out.push(segment(start, rounds, None));
     }
     out
 }
@@ -227,7 +242,7 @@ fn apply_op_faulty<K: Ord + Clone>(
     fault: Option<FaultKind>,
     keys: &mut [K],
     transit: &mut [[Option<K>; 2]],
-    incoming: &mut Vec<(usize, usize, K)>,
+    incoming: &mut Vec<(u32, u8, K)>,
 ) {
     match *op {
         Op::CompareExchange { a, b, min_to_a } => {
@@ -244,13 +259,15 @@ fn apply_op_faulty<K: Ord + Clone>(
             slot,
             from_key,
         } => {
-            let (fi, si) = (from as usize, slot as usize);
+            let fi = from as usize;
             // The source slot is consumed even when the payload is
             // dropped — the wire fired, the message was lost.
             let payload = if from_key {
                 keys[fi].clone()
             } else {
-                transit[fi][si].take().expect("validated: slot occupied")
+                transit[fi][usize::from(slot)]
+                    .take()
+                    .expect("validated: slot occupied")
             };
             let payload = if fault.is_some() {
                 // Dropped in flight: the receiver's slot latches a
@@ -259,7 +276,8 @@ fn apply_op_faulty<K: Ord + Clone>(
             } else {
                 payload
             };
-            incoming.push((to as usize, si, payload));
+            // Lowering checked that node ids fit the kernel's u32s.
+            incoming.push((to as u32, slot, payload));
         }
         Op::Resolve {
             node,
@@ -291,12 +309,12 @@ fn apply_op_faulty<K: Ord + Clone>(
 /// [`FaultSite`] decision — names the op of the source program.
 fn exec_kernel_round_faulty<K: Ord + Clone>(
     keys: &mut [K],
-    transit: &mut [[Option<K>; 2]],
-    incoming: &mut Vec<(usize, usize, K)>,
+    scratch: &mut ExecScratch<K>,
     kernel: &KernelProgram,
     ri: usize,
     ctx: &mut FaultCtx<'_>,
 ) {
+    let ExecScratch { transit, incoming } = scratch;
     incoming.clear();
     let desc = kernel.rounds[ri];
     let round_idx = ri as u64;
@@ -331,7 +349,7 @@ fn exec_kernel_round_faulty<K: Ord + Clone>(
         }
     }
     for (to, slot, payload) in incoming.drain(..) {
-        transit[to][slot] = Some(payload);
+        transit[to as usize][usize::from(slot)] = Some(payload);
     }
 }
 
@@ -342,57 +360,155 @@ fn sorted_copy<K: Ord + Clone>(keys: &[K]) -> Vec<K> {
     sorted
 }
 
-/// One run of `kernel` under `plan`: segments, checkpoints, certificate
-/// checks and retries. `scratch` serves the disabled-plan fast path
-/// (identical to [`BspMachine::run_kernel`], zero allocations when
-/// warm); the enabled path allocates its own checkpoints. Returns the
-/// report plus `Some((boundary, attempts))` if a segment exhausted its
-/// retries.
-fn exec_kernel_with_faults<K: Ord + Clone>(
-    shape: Shape,
-    keys: &mut [K],
-    kernel: &KernelProgram,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    scratch: &mut ExecScratch<K>,
-) -> (FaultReport, Option<(u64, u32)>) {
-    let mut report = FaultReport {
-        attempts: 1,
-        ..FaultReport::default()
-    };
-    if !plan.is_enabled() {
-        // Fast path: plain kernel execution, no hashing, no checks.
-        exec_kernel(keys, kernel, scratch);
-        report.counters.useful_rounds = kernel.rounds() as u64;
-        report.rounds = kernel.rounds() as u64;
-        return (report, None);
+/// Nanoseconds since `epoch`: the clock [`Step::Parked`] due times are
+/// on when a driver runs lanes in real time.
+pub(crate) fn since(epoch: Instant) -> u64 {
+    u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// What every lane of one fault run shares: the machine, its lowered
+/// program cut into certified segments, and the retry policy.
+pub(crate) struct FaultJob<'a> {
+    bsp: &'a BspMachine,
+    kernel: &'a KernelProgram,
+    segments: Vec<Segment>,
+    policy: RetryPolicy,
+}
+
+impl<'a> FaultJob<'a> {
+    /// The shared part of running `kernel` on `bsp` under `policy`.
+    pub(crate) fn new(bsp: &'a BspMachine, kernel: &'a KernelProgram, policy: RetryPolicy) -> Self {
+        FaultJob {
+            bsp,
+            kernel,
+            segments: segments(kernel),
+            policy,
+        }
     }
-    let mut fired: HashSet<FaultSite> = HashSet::new();
-    let mut transit: Vec<[Option<K>; 2]> = vec![[None, None]; keys.len()];
-    let mut incoming: Vec<(usize, usize, K)> = Vec::new();
-    for seg in segments(kernel.cert_points(), kernel.rounds()) {
-        // Transit is empty at segment boundaries (relays complete within
-        // a stage), so the key vector is the entire checkpoint.
-        let checkpoint: Option<Vec<K>> =
-            (policy.max_retries > 0 && seg.check.is_some()).then(|| keys.to_vec());
-        // Only route rounds can break the multiset; a restore brings
-        // back the same multiset, so one reference serves every attempt.
-        let multiset: Option<Vec<K>> = (seg.check.is_some()
-            && (seg.start..seg.end).any(|ri| kernel.class(ri) == RoundClass::Route))
-        .then(|| sorted_copy(keys));
-        let seg_rounds = (seg.end - seg.start) as u64;
-        let mut attempt: u32 = 0;
-        loop {
+}
+
+/// Where a lane stands after [`FaultLane::step`].
+#[derive(Debug)]
+pub(crate) enum Step {
+    /// Waiting out a retry backoff: the lane must not run again before
+    /// `until`, on the clock `step` was given.
+    Parked {
+        /// Earliest time the lane may run again.
+        until: u64,
+    },
+    /// Finished: the report summed over every attempt, or why the lane
+    /// failed.
+    Done(Result<FaultReport, FaultError>),
+}
+
+/// How one compute slice of a whole run ended.
+enum Slice {
+    /// Every segment passed its certificate.
+    Passed,
+    /// A segment failed its last permitted attempt.
+    Exhausted { round: u64, attempts: u32 },
+    /// A segment failed and its checkpoint is restored; the
+    /// re-execution must wait this many nanoseconds.
+    Backoff(u64),
+}
+
+/// How far into a run's report the events are already emitted.
+#[derive(Clone, Copy)]
+struct Emitted {
+    injected: usize,
+    detections: usize,
+    retries: usize,
+}
+
+impl Emitted {
+    fn of(report: &FaultReport) -> Self {
+        Emitted {
+            injected: report.injected.len(),
+            detections: report.detections.len(),
+            retries: report.retries.len(),
+        }
+    }
+}
+
+/// One whole run in progress: the segment being executed, its attempt,
+/// checkpoint and multiset reference, the sites that already fired,
+/// and the run's report so far. Transit needs no place here: slices
+/// start and end at segment boundaries, where it is empty.
+struct RunState<K> {
+    plan: FaultPlan,
+    seg: usize,
+    attempt: u32,
+    /// Keys at the segment boundary; `None` when the segment cannot be
+    /// retried (no certificate, or a policy without retries).
+    checkpoint: Option<Vec<K>>,
+    /// The segment's multiset reference, when it holds route rounds.
+    /// A restore brings back the same multiset, so one reference
+    /// serves every attempt.
+    multiset: Option<Vec<K>>,
+    fired: HashSet<FaultSite>,
+    report: FaultReport,
+}
+
+impl<K: Ord + Clone> RunState<K> {
+    /// A run of `job` under `plan`, starting from `keys`.
+    fn new(job: &FaultJob<'_>, keys: &[K], plan: FaultPlan) -> Self {
+        let mut run = RunState {
+            plan,
+            seg: 0,
+            attempt: 0,
+            checkpoint: None,
+            multiset: None,
+            fired: HashSet::new(),
+            report: FaultReport {
+                attempts: 1,
+                ..FaultReport::default()
+            },
+        };
+        run.enter(job, keys);
+        run
+    }
+
+    /// Take the checkpoint and multiset reference of segment `self.seg`
+    /// (if any is left) before its first attempt. Transit is empty at
+    /// segment boundaries (relays complete within a stage), so the key
+    /// vector is the entire checkpoint.
+    fn enter(&mut self, job: &FaultJob<'_>, keys: &[K]) {
+        let Some(seg) = job.segments.get(self.seg) else {
+            return;
+        };
+        self.attempt = 0;
+        self.checkpoint =
+            (job.policy.max_retries > 0 && seg.check.is_some()).then(|| keys.to_vec());
+        self.multiset = (seg.check.is_some() && seg.routes).then(|| sorted_copy(keys));
+    }
+
+    /// Execute segments until the run passes, exhausts a segment's
+    /// retries, or must back off before a retry. A zero backoff never
+    /// ends the slice: the retry runs at once.
+    fn advance(
+        &mut self,
+        job: &FaultJob<'_>,
+        keys: &mut [K],
+        scratch: &mut ExecScratch<K>,
+    ) -> Slice {
+        // Slices start at segment boundaries, where transit is empty,
+        // so one scratch serves every lane of a batch.
+        scratch.reset(keys.len());
+        let policy = &job.policy;
+        while let Some(seg) = job.segments.get(self.seg) {
+            let mut ctx = FaultCtx {
+                plan: &self.plan,
+                fired: &mut self.fired,
+                injected: &mut self.report.injected,
+            };
             for ri in seg.start..seg.end {
-                let mut ctx = FaultCtx {
-                    plan,
-                    fired: &mut fired,
-                    injected: &mut report.injected,
-                };
-                exec_kernel_round_faulty(keys, &mut transit, &mut incoming, kernel, ri, &mut ctx);
+                exec_kernel_round_faulty(keys, scratch, job.kernel, ri, &mut ctx);
             }
             debug_assert!(
-                transit.iter().all(|t| t[0].is_none() && t[1].is_none()),
+                scratch
+                    .transit
+                    .iter()
+                    .all(|t| t[0].is_none() && t[1].is_none()),
                 "transit must drain at certificate boundaries"
             );
             // Checks produce the failing certificate directly (rather
@@ -403,17 +519,18 @@ fn exec_kernel_with_faults<K: Ord + Clone>(
                 let sampled = !is_final && policy.recheck_depth > 0;
                 let ordered = if sampled {
                     sampled_subgraph_certificate(
-                        shape,
+                        job.bsp.shape(),
                         keys,
                         dims as usize,
                         policy.recheck_depth,
-                        plan.probe_seed(boundary, u64::from(attempt)),
+                        self.plan.probe_seed(boundary, u64::from(self.attempt)),
                     )
                 } else {
-                    subgraphs_snake_sorted(shape, keys, dims as usize)
+                    subgraphs_snake_sorted(job.bsp.shape(), keys, dims as usize)
                 };
                 let permuted = ordered
-                    && multiset
+                    && self
+                        .multiset
                         .as_deref()
                         .is_none_or(|want| sorted_copy(keys) == want);
                 (!permuted).then_some(Detection {
@@ -422,61 +539,218 @@ fn exec_kernel_with_faults<K: Ord + Clone>(
                     sampled: sampled && !ordered,
                 })
             });
+            let seg_rounds = (seg.end - seg.start) as u64;
             let Some(detection) = failed_check else {
-                report.counters.useful_rounds += seg_rounds;
-                break;
+                self.report.counters.useful_rounds += seg_rounds;
+                self.seg += 1;
+                self.enter(job, keys);
+                continue;
             };
-            report.detections.push(detection);
-            report.counters.detections += 1;
-            report.counters.wasted_rounds += seg_rounds;
+            self.report.detections.push(detection);
+            self.report.counters.detections += 1;
+            self.report.counters.wasted_rounds += seg_rounds;
             // Retrying requires the checkpoint taken at the segment
             // boundary; it exists whenever max_retries > 0 and the
             // segment is certified (= this branch). Degrade to
             // retry-exhausted rather than panic if that ever breaks.
-            let retryable = checkpoint
+            let retryable = self
+                .checkpoint
                 .as_deref()
-                .filter(|_| attempt < policy.max_retries);
+                .filter(|_| self.attempt < policy.max_retries);
             let Some(restore) = retryable else {
-                report.rounds = report.counters.total_rounds();
-                return (report, Some((detection.round, attempt + 1)));
+                self.report.rounds = self.report.counters.total_rounds();
+                return Slice::Exhausted {
+                    round: detection.round,
+                    attempts: self.attempt + 1,
+                };
             };
-            attempt += 1;
-            // Capped-exponential backoff before the re-execution —
-            // zero (no syscall at all) unless the policy enables it.
-            let delay_ns = policy.backoff_ns(attempt);
-            if delay_ns > 0 {
-                std::thread::sleep(std::time::Duration::from_nanos(delay_ns));
-            }
+            self.attempt += 1;
             keys.clone_from_slice(restore);
-            report.retries.push(Retry {
+            self.report.retries.push(Retry {
                 round: seg.start as u64,
-                attempt,
+                attempt: self.attempt,
             });
-            report.counters.retries += 1;
+            self.report.counters.retries += 1;
+            // Capped-exponential backoff before the re-execution: the
+            // lane parks and the driver runs other lanes meanwhile.
+            let delay_ns = policy.backoff_ns(self.attempt);
+            if delay_ns > 0 {
+                return Slice::Backoff(delay_ns);
+            }
+        }
+        self.report.rounds = self.report.counters.total_rounds();
+        Slice::Passed
+    }
+}
+
+/// What a batch lane has beyond a single run: the whole-run retries
+/// and the quarantine rung of [`crate::batch`].
+struct Rungs<K> {
+    /// `plan.fork(id)`; whole run `a` runs under `base.fork(a)`.
+    base: FaultPlan,
+    /// Whole-run retries allowed after the first run.
+    retries: u32,
+    /// Whole-run attempt in progress (0: the first run).
+    run: u32,
+    /// The lane's input, which every whole run and the quarantine
+    /// start from.
+    original: Vec<K>,
+    /// Names the lane in the `LaneQuarantined` event.
+    id: u64,
+}
+
+/// One lane's fault run as a resumable state machine. [`FaultLane::step`]
+/// computes until the lane finishes or must wait out a retry backoff,
+/// and then returns [`Step::Parked`] instead of sleeping, so a driver
+/// can run other lanes meanwhile. Fault decisions depend only on the
+/// plan and the site, never on time, so any interleaving of lanes
+/// yields the outputs and reports of running each alone.
+pub(crate) struct FaultLane<K> {
+    run: RunState<K>,
+    /// `None` for a single run, which ends in
+    /// [`FaultError::RetryExhausted`] instead of retrying whole runs.
+    rungs: Option<Rungs<K>>,
+    /// The finished runs' reports, summed.
+    total: FaultReport,
+}
+
+impl<K: Ord + Clone> FaultLane<K> {
+    /// One run of `job` under `plan`, from `keys`.
+    pub(crate) fn single(job: &FaultJob<'_>, keys: &[K], plan: FaultPlan) -> Self {
+        FaultLane {
+            run: RunState::new(job, keys, plan),
+            rungs: None,
+            total: FaultReport::default(),
         }
     }
-    report.rounds = report.counters.total_rounds();
-    (report, None)
+
+    /// Lane `id` of a batch walking `ladder` from `keys` (see
+    /// [`crate::batch`]).
+    pub(crate) fn ladder(job: &FaultJob<'_>, keys: &[K], ladder: &Ladder, id: u64) -> Self {
+        let base = ladder.plan.fork(id);
+        FaultLane {
+            run: RunState::new(job, keys, base.fork(0)),
+            rungs: Some(Rungs {
+                base,
+                retries: ladder.retries,
+                run: 0,
+                original: keys.to_vec(),
+                id,
+            }),
+            total: FaultReport::default(),
+        }
+    }
+
+    /// Run the lane on `keys` until it finishes or parks; `now` reads
+    /// the clock a park's due time is set on. Each compute slice runs
+    /// in its own `Fault`/`Sort` span and emits the fault events it
+    /// produced, so spans never straddle a park. Under a zero backoff a
+    /// lane never parks, and each whole run is one slice.
+    pub(crate) fn step(
+        &mut self,
+        job: &FaultJob<'_>,
+        keys: &mut [K],
+        scratch: &mut ExecScratch<K>,
+        now: &impl Fn() -> u64,
+    ) -> Step {
+        loop {
+            let slice = {
+                let _sort_span = job
+                    .bsp
+                    .logger
+                    .span(Tier::Fault, Stage::Sort, SpanClass::None);
+                let emitted = Emitted::of(&self.run.report);
+                let slice = self.run.advance(job, keys, scratch);
+                job.bsp.emit_fault_events(&self.run.report, emitted);
+                slice
+            };
+            let delay_ns = match slice {
+                Slice::Backoff(delay_ns) => delay_ns,
+                Slice::Passed => {
+                    fold(&mut self.total, &mut self.run.report, false);
+                    return Step::Done(Ok(std::mem::take(&mut self.total)));
+                }
+                Slice::Exhausted { round, attempts } => {
+                    let Some(rungs) = &mut self.rungs else {
+                        return Step::Done(Err(FaultError::RetryExhausted { round, attempts }));
+                    };
+                    fold(&mut self.total, &mut self.run.report, true);
+                    keys.clone_from_slice(&rungs.original);
+                    if rungs.run == rungs.retries {
+                        rungs.quarantine(job, keys, scratch, &mut self.total);
+                        return Step::Done(Ok(std::mem::take(&mut self.total)));
+                    }
+                    // A deterministic plan replays the same faults on
+                    // the same input, so the next run re-forks it.
+                    rungs.run += 1;
+                    self.run = RunState::new(job, keys, rungs.base.fork(u64::from(rungs.run)));
+                    job.policy.backoff_ns(rungs.run)
+                }
+            };
+            if delay_ns > 0 {
+                return Step::Parked {
+                    until: now().saturating_add(delay_ns),
+                };
+            }
+        }
+    }
+}
+
+impl<K: Ord + Clone> Rungs<K> {
+    /// The last rung: a clean kernel run on `keys`, already restored to
+    /// the input, recorded in `total`.
+    fn quarantine(
+        &self,
+        job: &FaultJob<'_>,
+        keys: &mut [K],
+        scratch: &mut ExecScratch<K>,
+        total: &mut FaultReport,
+    ) {
+        job.bsp.run_kernel(keys, job.kernel, scratch);
+        job.bsp
+            .logger
+            .log(|| Event::LaneQuarantined { lane: self.id });
+        total.attempts += 1;
+        total.quarantined = true;
+        total.counters.useful_rounds = job.kernel.rounds() as u64;
+        total.rounds = total.counters.total_rounds();
+    }
+}
+
+/// Fold a finished run's `report` into `total`. Nothing a failed run
+/// executed reaches the output, so its rounds are all wasted.
+fn fold(total: &mut FaultReport, report: &mut FaultReport, failed: bool) {
+    let mut report = std::mem::take(report);
+    if failed {
+        report.counters.wasted_rounds += report.counters.useful_rounds;
+        report.counters.useful_rounds = 0;
+    }
+    total.attempts += report.attempts;
+    total.injected.append(&mut report.injected);
+    total.detections.append(&mut report.detections);
+    total.retries.append(&mut report.retries);
+    total.counters = total.counters.then(report.counters);
+    total.rounds = total.counters.total_rounds();
 }
 
 impl BspMachine {
-    /// Emit the observability events a finished run accumulated.
-    fn emit_fault_events(&self, report: &FaultReport) {
-        for f in &report.injected {
+    /// Emit the observability events `report` gained since `emitted`.
+    fn emit_fault_events(&self, report: &FaultReport, emitted: Emitted) {
+        for f in &report.injected[emitted.injected..] {
             self.logger.log(|| Event::FaultInjected {
                 round: f.site.round,
                 op: f.site.op,
                 kind: f.kind.code(),
             });
         }
-        for d in &report.detections {
+        for d in &report.detections[emitted.detections..] {
             self.logger.log(|| Event::FaultDetected {
                 round: d.round,
                 stage: u64::from(d.dims),
                 sampled: d.sampled,
             });
         }
-        for r in &report.retries {
+        for r in &report.retries[emitted.retries..] {
             self.logger.log(|| Event::RetryRound {
                 round: r.round,
                 attempt: u64::from(r.attempt),
@@ -484,31 +758,14 @@ impl BspMachine {
         }
     }
 
-    /// One traced fault run on keys already checked to be one per node:
-    /// the report, plus the error if a segment exhausted its retries.
-    /// The batch ladder keeps the report of a failed attempt for its
-    /// accounting, which [`BspMachine::run_kernel_with_faults`] drops.
-    pub(crate) fn fault_attempt<K: Ord + Clone>(
-        &self,
-        keys: &mut [K],
-        kernel: &KernelProgram,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-        scratch: &mut ExecScratch<K>,
-    ) -> (FaultReport, Option<FaultError>) {
-        let _sort_span = self.logger.span(Tier::Fault, Stage::Sort, SpanClass::None);
-        let (report, failed) =
-            exec_kernel_with_faults(self.shape(), keys, kernel, plan, policy, scratch);
-        self.emit_fault_events(&report);
-        let error = failed.map(|(round, attempts)| FaultError::RetryExhausted { round, attempts });
-        (report, error)
-    }
-
     /// Execute a lowered program on `keys` under `plan`, detecting
     /// corruption at the program's certificate boundaries and retrying
     /// failed segments from checkpoints per `policy`. Fault sites are
     /// keyed by `(round, op)` indices, which lowering preserves, so a
-    /// plan names the same sites in the source program.
+    /// plan names the same sites in the source program. A retry's
+    /// backoff is slept out here, since there is no other lane to run;
+    /// the batch dispatcher ([`crate::batch::run`]) runs other lanes
+    /// instead.
     ///
     /// On `Ok`, every certificate passed: `keys` equals the output of a
     /// clean [`BspMachine::run`]. On [`FaultError::RetryExhausted`],
@@ -548,9 +805,32 @@ impl BspMachine {
                 got: keys.len(),
             });
         }
-        match self.fault_attempt(keys, kernel, plan, policy, scratch) {
-            (report, None) => Ok(report),
-            (_, Some(error)) => Err(error),
+        if !plan.is_enabled() {
+            // Fast path: plain kernel execution, no hashing, no checks.
+            let _sort_span = self.logger.span(Tier::Fault, Stage::Sort, SpanClass::None);
+            exec_kernel(keys, kernel, scratch);
+            let rounds = kernel.rounds() as u64;
+            return Ok(FaultReport {
+                rounds,
+                attempts: 1,
+                counters: RetryCounters {
+                    useful_rounds: rounds,
+                    ..RetryCounters::default()
+                },
+                ..FaultReport::default()
+            });
+        }
+        let job = FaultJob::new(self, kernel, *policy);
+        let mut lane = FaultLane::single(&job, keys, plan.clone());
+        let epoch = Instant::now();
+        let now = || since(epoch);
+        loop {
+            match lane.step(&job, keys, scratch, &now) {
+                Step::Parked { until } => {
+                    std::thread::sleep(Duration::from_nanos(until.saturating_sub(now())));
+                }
+                Step::Done(result) => return result,
+            }
         }
     }
 }
